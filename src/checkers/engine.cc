@@ -102,11 +102,35 @@ struct ScanMetrics {
   MetricCounter& reports = reg.Counter("scan.reports");
 };
 
+// The default executor: both per-file stages on the scan's own thread pool.
+class PoolExecutor final : public ScanStageExecutor {
+ public:
+  explicit PoolExecutor(ThreadPool& pool) : pool_(pool) {}
+
+  void Parse(const std::vector<const SourceFile*>& files, std::vector<FileScanState>& states,
+             const ScanStageContext& ctx) override {
+    ParallelFor(pool_, 0, files.size(), [&](size_t i) {
+      if (!states[i].failure) {
+        states[i] = RunParseStage(*files[i], ctx);
+      }
+    });
+  }
+
+  std::vector<FileShard> Check(const std::vector<const SourceFile*>& files,
+                               std::vector<FileScanState>& states, const KnowledgeBase& kb,
+                               uint64_t kb_fp, const ScanStageContext& ctx) override {
+    return ParallelMap(pool_, files.size(), [&](size_t i) {
+      return RunCheckStage(*files[i], states[i], kb, kb_fp, ctx);
+    });
+  }
+
+ private:
+  ThreadPool& pool_;
+};
+
 }  // namespace
 
-ScanResult CheckerEngine::Scan(const SourceTree& tree) {
-  ScanResult result;
-
+ScanResult CheckerEngine::Scan(const SourceTree& tree, ScanStageExecutor* fleet) {
   // Scoped fault arming from the options: library callers and tests get a
   // hermetic plan that restores whatever was armed before. A malformed spec
   // aborts loudly — silently scanning un-faulted would make a fault-matrix
@@ -116,6 +140,7 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
     FaultPlan plan;
     std::string spec_error;
     if (!ParseFaultSpec(options_.fault_spec, plan, &spec_error)) {
+      ScanResult result;
       result.aborted = true;
       result.abort_reason = "invalid fault spec: " + spec_error;
       return result;
@@ -123,6 +148,46 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
     fault_arm.emplace(std::move(plan));
   }
 
+  // Files in path order: index i is the fan-out key for both parallel
+  // stages, so merge order never depends on thread scheduling.
+  std::vector<const SourceFile*> files;
+  files.reserve(tree.size());
+  for (const auto& [path, file] : tree.files()) {
+    files.push_back(&file);
+  }
+
+  ThreadPool pool(options_.jobs);
+  PoolExecutor local(pool);
+  std::vector<FileScanState> states(files.size());
+  if (fleet == nullptr || options_.interprocedural) {
+    return *RunPipeline(tree, files, local, pool, states);
+  }
+  const KnowledgeBase seed_kb = kb_;  // discovery mutates kb_; a rescan starts over
+  if (std::optional<ScanResult> result = RunPipeline(tree, files, *fleet, pool, states)) {
+    return std::move(*result);
+  }
+  // A dead worker costs its shard, not the scan: drop every fleet result,
+  // quarantine the lost files and rescan the survivors in-process. A
+  // stage-1 quarantine keeps a file out of discovery, so the reports equal
+  // a scan of the surviving subset by construction.
+  kb_ = seed_kb;
+  states.assign(files.size(), FileScanState{});
+  for (ScanStageExecutor::LostFile& lost : fleet->Lost()) {
+    FileFailure f;
+    f.path = files[lost.index]->path();
+    f.stage = FailureStage::kCheck;
+    f.kind = FailureKind::kInternal;
+    f.what = std::move(lost.why);
+    states[lost.index].failure = std::move(f);
+  }
+  return *RunPipeline(tree, files, local, pool, states);
+}
+
+std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
+                                                     const std::vector<const SourceFile*>& files,
+                                                     ScanStageExecutor& executor, ThreadPool& pool,
+                                                     std::vector<FileScanState>& states) {
+  ScanResult result;
   ScanMetrics m;
   // Every return path below materialises result.stats from the registry
   // (the ScanStatsFields table binds each counter to its member) and folds
@@ -135,16 +200,6 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
       t->metrics().MergeFrom(m.reg);
     }
   };
-
-  // Files in path order: index i is the fan-out key for both parallel
-  // stages, so merge order never depends on thread scheduling.
-  std::vector<const SourceFile*> files;
-  files.reserve(tree.size());
-  for (const auto& [path, file] : tree.files()) {
-    files.push_back(&file);
-  }
-
-  ThreadPool pool(options_.jobs);
 
   ScanCache cache(MakeScanStore(options_));
   const ScanStageContext ctx = MakeScanStageContext(options_, cache);
@@ -159,10 +214,12 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
   // resets its partial state; the rest of the scan never sees it again. A
   // quarantined file stores no cache artifacts, so nothing injection- or
   // wall-clock-dependent can ever be replayed.
-  std::vector<FileScanState> states;
   {
     TelemetrySpan stage_span("stage.parse");
-    states = ParallelMap(pool, files.size(), [&](size_t i) { return RunParseStage(*files[i], ctx); });
+    executor.Parse(files, states, ctx);
+  }
+  if (!executor.Lost().empty()) {
+    return std::nullopt;
   }
 
   // Scan-wide circuit breaker (off by default): a mostly-broken tree —
@@ -317,9 +374,10 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
   std::vector<FileShard> shards;
   {
     TelemetrySpan stage_span("stage.check");
-    shards = ParallelMap(pool, files.size(), [&](size_t i) {
-      return RunCheckStage(*files[i], states[i], kb, kb_fp, ctx);
-    });
+    shards = executor.Check(files, states, kb, kb_fp, ctx);
+  }
+  if (!executor.Lost().empty()) {
+    return std::nullopt;
   }
 
   if (const size_t failed = count_failed(); breaker_trips(failed)) {
@@ -342,7 +400,8 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
         m.cache_parse_skips.Add(1);
       }
     }
-    m.cache_corrupt.Add(static_cast<uint64_t>(cache.corrupt_loads()));
+    m.cache_corrupt.Add(
+        static_cast<uint64_t>(cache.corrupt_loads() + executor.ForeignCorruptLoads()));
   }
 
   // Merge the shards in file order: the concatenation equals what the old

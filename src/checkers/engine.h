@@ -10,13 +10,16 @@
 // order-sensitive (wrappers classify off APIs found in the first round);
 // after it the KB is read-only and shared by every stage-3 worker. Reports
 // are deduplicated one-per-site with the most specific pattern, and are
-// byte-identical at every `ScanOptions::jobs` value.
+// byte-identical at every `ScanOptions::jobs` value. Stages 1 and 3 run
+// through a ScanStageExecutor (scan_stages.h) — the engine's thread pool or
+// the `--workers` process fleet; everything else runs only here.
 
 #ifndef REFSCAN_CHECKERS_ENGINE_H_
 #define REFSCAN_CHECKERS_ENGINE_H_
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -30,7 +33,10 @@
 
 namespace refscan {
 
-class ObjectStore;  // src/cache/store.h
+class ObjectStore;        // src/cache/store.h
+class ScanStageExecutor;  // src/checkers/scan_stages.h
+struct FileScanState;     // src/checkers/scan_stages.h
+class ThreadPool;         // src/support/threadpool.h
 
 struct ScanOptions {
   size_t max_paths_per_function = 512;
@@ -325,8 +331,14 @@ class CheckerEngine {
  public:
   explicit CheckerEngine(KnowledgeBase kb = KnowledgeBase::BuiltIn(), ScanOptions options = {});
 
-  // Scans a whole tree (two passes: discovery, then checking).
-  ScanResult Scan(const SourceTree& tree);
+  // Scans a whole tree (two passes: discovery, then checking). Stages 1
+  // and 3 run on the engine's thread pool, or through `fleet` (the
+  // --workers process fleet, src/checkers/sharded) when given; everything
+  // whole-tree runs here, once, and the result is byte-identical either
+  // way. Interprocedural scans never use the fleet (stage 2.5 walks every
+  // unit in this address space, and workers ship facts, not units). Files
+  // the fleet loses are quarantined and the survivors rescanned in-process.
+  ScanResult Scan(const SourceTree& tree, ScanStageExecutor* fleet = nullptr);
 
   // Scans a single in-memory file (tests / quickstart example).
   ScanResult ScanFileText(std::string path, std::string text);
@@ -334,6 +346,13 @@ class CheckerEngine {
   const KnowledgeBase& kb() const { return kb_; }
 
  private:
+  // One pass of the pipeline over `states` (pre-quarantined files stay
+  // out); nullopt when `executor` lost files along the way.
+  std::optional<ScanResult> RunPipeline(const SourceTree& tree,
+                                        const std::vector<const SourceFile*>& files,
+                                        ScanStageExecutor& executor, ThreadPool& pool,
+                                        std::vector<FileScanState>& states);
+
   KnowledgeBase kb_;
   ScanOptions options_;
 };

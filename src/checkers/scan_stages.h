@@ -1,16 +1,16 @@
-// Per-file pipeline stage bodies, shared verbatim by the in-process engine
-// (CheckerEngine::Scan) and the shard worker (src/checkers/sharded).
+// Per-file pipeline stage bodies and the executor seam that fans them out.
 //
-// The sharded scan's hard requirement is byte-identical output to a
-// single-process scan at any --jobs × --workers combination. Rather than
-// reimplementing the stage-1 (parse / cache replay) and stage-3 (check /
-// report splice) bodies in the worker and proving them equivalent, both
-// callers invoke the exact same functions: a file's FileScanState and
-// FileShard cannot depend on which process computed them, because only one
-// implementation exists. The engine keeps the parts that are inherently
-// whole-tree — the KB-discovery barrier, the circuit breaker, the
-// file-ordered merge — and the sharded coordinator replays those same steps
-// over worker-supplied per-file facts.
+// CheckerEngine::Scan is the only scan orchestrator: it alone runs KB
+// discovery (stage 2), interprocedural summaries (stage 2.5), the circuit
+// breaker, the file-ordered merge, dedup, suppression and the stats. The
+// two per-file stages — stage 1 (RunParseStage: parse / cache replay) and
+// stage 3 (RunCheckStage: check / report splice) — it runs through a
+// ScanStageExecutor, which decides only *where* those bodies execute: the
+// engine's own thread pool by default, or the `--workers` process fleet
+// (src/checkers/sharded), whose workers call the very same two functions.
+// A file's FileScanState and FileShard therefore cannot depend on which
+// process computed them, because only one implementation exists, and
+// everything order-sensitive happens once, in the engine.
 //
 // Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
 // per attempt, one transient-I/O retry while idempotent, and exception →
@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/ast/parser.h"
@@ -107,6 +108,45 @@ FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx)
 // a stage-3 quarantine sets `st.failure` and returns an empty shard.
 FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
                         uint64_t kb_fp, const ScanStageContext& ctx);
+
+// Where stages 1 and 3 run for one scan. `files` is the tree in path order
+// and index i is file i's slot in `states` and in the returned shards, so
+// merge order never depends on who did the work. The engine picks the
+// executor, not the user: interprocedural scans and rescans after a lost
+// worker always use the in-process one.
+class ScanStageExecutor {
+ public:
+  // A file whose result died with the process holding it.
+  struct LostFile {
+    size_t index = 0;
+    std::string why;  // becomes the quarantine record's `what`
+  };
+
+  ScanStageExecutor() = default;
+  ScanStageExecutor(const ScanStageExecutor&) = delete;
+  ScanStageExecutor& operator=(const ScanStageExecutor&) = delete;
+  virtual ~ScanStageExecutor() = default;
+
+  // Stage 1 for every file whose state is not already quarantined.
+  virtual void Parse(const std::vector<const SourceFile*>& files,
+                     std::vector<FileScanState>& states, const ScanStageContext& ctx) = 0;
+
+  // Stage 3 for every file against the frozen KB (kb_fp as in
+  // RunCheckStage); updates each state's failure and cache flags.
+  virtual std::vector<FileShard> Check(const std::vector<const SourceFile*>& files,
+                                       std::vector<FileScanState>& states,
+                                       const KnowledgeBase& kb, uint64_t kb_fp,
+                                       const ScanStageContext& ctx) = 0;
+
+  // Files lost so far. Non-empty after either stage means the engine drops
+  // this executor's output, quarantines these files and rescans the rest
+  // in-process, so the result equals a scan of the survivors.
+  virtual std::vector<LostFile> Lost() const { return {}; }
+
+  // Cache objects that failed validation in other processes; the engine's
+  // own ScanCache counts the loads made in this one.
+  virtual size_t ForeignCorruptLoads() const { return 0; }
+};
 
 }  // namespace refscan
 

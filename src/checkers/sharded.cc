@@ -15,7 +15,6 @@
 #include "src/support/faultinject.h"
 #include "src/support/ipc.h"
 #include "src/support/strings.h"
-#include "src/support/telemetry.h"
 #include "src/support/threadpool.h"
 
 namespace refscan {
@@ -116,76 +115,215 @@ bool SpawnWorker(const std::string& worker_cmd, const std::string& socket_path, 
   return true;
 }
 
-// The whole-tree scan the coordinator falls back to when sharding cannot
-// run (empty tree, socket failure) and when a worker dies (rescue of the
-// surviving subset). Engine construction mirrors the CLI's.
-ScanResult InProcessScan(const SourceTree& tree, const ScanOptions& options) {
-  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
-  return engine.Scan(tree);
-}
-
-// A dead worker costs its shard, not the scan: discard every worker result,
-// rescan the surviving files in-process — which makes "the degraded scan's
-// reports are byte-identical to scanning the surviving subset" true by
-// construction — and quarantine the dead shards' files.
-ScanResult RescueScan(const std::vector<const SourceFile*>& files,
-                      const std::vector<std::vector<size_t>>& shards,
-                      const std::vector<WorkerHandle>& workers, const ScanOptions& options) {
-  std::vector<const char*> dead_why(files.size(), nullptr);
-  std::vector<size_t> dead_worker(files.size(), 0);
-  SourceTree subset;
-  for (size_t i = 0; i < workers.size(); ++i) {
-    if (!workers[i].dead) {
-      continue;
-    }
-    for (const size_t idx : shards[i]) {
-      dead_why[idx] = workers[i].why.c_str();
-      dead_worker[idx] = i;
-    }
-  }
-  size_t dead_count = 0;
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (dead_why[i] == nullptr) {
-      subset.Add(files[i]->path(), std::string(files[i]->text()));
-    } else {
-      ++dead_count;
-    }
+// The --workers stage executor. Parse spawns one worker per shard, sends
+// each its kJob and fills the engine's states from the kFacts frames; Check
+// broadcasts the engine's frozen KB as kKb and fills the shards from the
+// kResults frames. A worker that dies mid-protocol marks its whole shard
+// lost and the fleet hangs up on the rest (parked workers see a clean EOF
+// and exit 0); the engine then rescans the survivors in-process.
+class WorkerFleet final : public ScanStageExecutor {
+ public:
+  WorkerFleet(const ShardedScanConfig& config, const ScanOptions& options, OwnedFd listener,
+              std::string socket_path)
+      : config_(config), options_(options), listener_(std::move(listener)) {
+    guard_.workers = &workers_;
+    guard_.socket_path = std::move(socket_path);
   }
 
-  ScanResult result = InProcessScan(subset, options);
+  void Parse(const std::vector<const SourceFile*>& files, std::vector<FileScanState>& states,
+             const ScanStageContext& ctx) override;
+  std::vector<FileShard> Check(const std::vector<const SourceFile*>& files,
+                               std::vector<FileScanState>& states, const KnowledgeBase& kb,
+                               uint64_t kb_fp, const ScanStageContext& ctx) override;
+  std::vector<LostFile> Lost() const override;
+  size_t ForeignCorruptLoads() const override { return worker_corrupt_; }
 
-  // Splice the dead files into the quarantine list, keeping the §5.9
-  // contract: file failures in tree (path) order. The engine's are already
-  // sorted and all paths are distinct, so a plain sort restores the order.
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (dead_why[i] == nullptr) {
-      continue;
-    }
-    FileFailure f;
-    f.path = files[i]->path();
-    f.stage = FailureStage::kCheck;
-    f.kind = FailureKind::kInternal;
-    f.what = StrFormat("shard worker %zu died: %s", dead_worker[i], dead_why[i]);
-    result.failures.push_back(std::move(f));
-  }
-  std::sort(result.failures.begin(), result.failures.end(),
-            [](const FileFailure& a, const FileFailure& b) { return a.path < b.path; });
-  result.stats.files += dead_count;
-  result.stats.files_quarantined += dead_count;
-  return result;
-}
+ private:
+  void Spawn(const std::vector<const SourceFile*>& files);
+  // Receives one kFacts or kResults frame from every live worker, handing
+  // each payload and shard to `read`, which returns false when malformed.
+  template <typename ReadFn>
+  void Collect(uint8_t type, ReadFn&& read);
 
-// Per-file state the coordinator accumulates from the kFacts / kResults
-// frames, indexed by global file order — the same order the engine's
-// `states` vector uses, so the discovery replay and the merge are
-// order-identical by construction.
-struct CoordFileState {
-  DiscoveryFacts facts;
-  std::optional<FileFailure> failure;
-  bool retried = false;
-  bool report_hit = false;
-  bool parsed = false;
+  const ShardedScanConfig& config_;
+  const ScanOptions& options_;
+  OwnedFd listener_;
+  std::vector<std::vector<size_t>> shards_;
+  std::vector<WorkerHandle> workers_;
+  FleetGuard guard_;  // declared after workers_: reaps before they go
+  size_t worker_corrupt_ = 0;
 };
+
+void WorkerFleet::Spawn(const std::vector<const SourceFile*>& files) {
+  shards_ = ShardFiles(files, config_.workers);
+  const std::string& socket_path = guard_.socket_path;
+  workers_.resize(shards_.size());
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    if (!SpawnWorker(config_.worker_cmd, socket_path, i, workers_[i].pid)) {
+      MarkDead(workers_[i], StrFormat("fork failed: %s", std::strerror(errno)));
+    }
+  }
+
+  // Accept until every spawned worker has said kHello (they connect in any
+  // order; the hello id routes each connection to its shard).
+  size_t expected = 0;
+  for (const WorkerHandle& w : workers_) {
+    expected += w.dead ? 0 : 1;
+  }
+  std::string ipc_error;
+  for (size_t accepted = 0; accepted < expected; ++accepted) {
+    OwnedFd conn = UnixAccept(listener_.get(), kAcceptTimeoutMs, &ipc_error);
+    if (!conn.valid()) {
+      break;  // timeout/error: the workers that never arrived read as dead
+    }
+    uint8_t type = 0;
+    std::string payload;
+    if (RecvFrame(conn.get(), type, payload, &ipc_error) != RecvOutcome::kFrame ||
+        type != kHello) {
+      continue;  // not a worker of ours; drop the connection
+    }
+    ByteReader r(payload);
+    const uint32_t id = r.U32();
+    if (!r.ok() || id >= workers_.size() || workers_[id].conn.valid() || workers_[id].dead) {
+      continue;
+    }
+    workers_[id].conn = std::move(conn);
+  }
+  for (WorkerHandle& w : workers_) {
+    if (!w.dead && !w.conn.valid()) {
+      MarkDead(w, "never connected");
+    }
+  }
+
+  // kJob: options + the shard's files, in global order within the shard.
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i].dead) {
+      continue;
+    }
+    ByteWriter w;
+    WriteScanOptionsWire(w, options_);
+    w.U32(static_cast<uint32_t>(shards_[i].size()));
+    for (const size_t idx : shards_[i]) {
+      w.Str(files[idx]->path());
+      w.Str(files[idx]->text());
+    }
+    if (!SendFrame(workers_[i].conn.get(), kJob, w.bytes(), &ipc_error)) {
+      MarkDead(workers_[i], "send job: " + ipc_error);
+    }
+  }
+}
+
+template <typename ReadFn>
+void WorkerFleet::Collect(uint8_t type, ReadFn&& read) {
+  const char* stage = type == kFacts ? "parse" : "check";
+  const char* frame = type == kFacts ? "facts" : "results";
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    WorkerHandle& worker = workers_[i];
+    if (worker.dead) {
+      continue;
+    }
+    uint8_t got = 0;
+    std::string payload;
+    std::string ipc_error;
+    if (RecvFrame(worker.conn.get(), got, payload, &ipc_error) != RecvOutcome::kFrame ||
+        got != type) {
+      MarkDead(worker, StrFormat("crashed in %s stage", stage));
+      continue;
+    }
+    ByteReader r(payload);
+    if (r.Count() != shards_[i].size()) {
+      MarkDead(worker, StrFormat("%s frame: wrong file count", frame));
+    } else if (!read(r, shards_[i]) || !r.ok()) {
+      MarkDead(worker, StrFormat("%s frame: malformed payload", frame));
+    }
+  }
+  if (std::any_of(workers_.begin(), workers_.end(), [](const WorkerHandle& w) { return w.dead; })) {
+    for (WorkerHandle& w : workers_) {
+      w.conn.Reset();
+    }
+  }
+}
+
+void WorkerFleet::Parse(const std::vector<const SourceFile*>& files,
+                        std::vector<FileScanState>& states, const ScanStageContext& /*ctx*/) {
+  Spawn(files);
+  Collect(kFacts, [&](ByteReader& r, const std::vector<size_t>& shard) {
+    for (const size_t idx : shard) {
+      FileScanState& st = states[idx];
+      ReadFileMeta(r, st.failure, st.retried);
+      if (st.failure) {
+        st.failure->path = files[idx]->path();
+      }
+      const std::string facts_bytes = r.Str();
+      if (!r.ok()) {
+        return false;
+      }
+      if (!facts_bytes.empty()) {
+        std::optional<DiscoveryFacts> facts = DeserializeFacts(facts_bytes);
+        if (!facts) {
+          return false;
+        }
+        st.facts = std::move(*facts);
+      }
+    }
+    return true;
+  });
+}
+
+std::vector<FileShard> WorkerFleet::Check(const std::vector<const SourceFile*>& files,
+                                          std::vector<FileScanState>& states,
+                                          const KnowledgeBase& kb, uint64_t /*kb_fp*/,
+                                          const ScanStageContext& /*ctx*/) {
+  const std::string kb_bytes = SerializeKb(kb);
+  std::string ipc_error;
+  for (WorkerHandle& w : workers_) {
+    if (!w.dead && !SendFrame(w.conn.get(), kKb, kb_bytes, &ipc_error)) {
+      MarkDead(w, "send kb: " + ipc_error);
+    }
+  }
+  // kResults carries each file's FINAL state: a stage-3 quarantine
+  // overwrites what kFacts reported.
+  std::vector<FileShard> out(files.size());
+  Collect(kResults, [&](ByteReader& r, const std::vector<size_t>& shard) {
+    for (const size_t idx : shard) {
+      FileScanState& st = states[idx];
+      ReadFileMeta(r, st.failure, st.retried);
+      if (st.failure) {
+        st.failure->path = files[idx]->path();
+      }
+      st.report_hit = r.Bool();
+      st.parsed = r.Bool();
+      const std::string reports_bytes = r.Str();
+      if (!r.ok()) {
+        return false;
+      }
+      if (!reports_bytes.empty()) {
+        std::optional<CachedFileReports> reports = DeserializeReports(reports_bytes);
+        if (!reports) {
+          return false;
+        }
+        out[idx].raw = std::move(reports->reports);
+        out[idx].functions = static_cast<size_t>(reports->functions);
+        out[idx].degraded = std::move(reports->degraded);
+      }
+    }
+    worker_corrupt_ += static_cast<size_t>(r.U64());
+    return true;
+  });
+  return out;
+}
+
+std::vector<ScanStageExecutor::LostFile> WorkerFleet::Lost() const {
+  std::vector<LostFile> lost;
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i].dead) {
+      for (const size_t idx : shards_[i]) {
+        lost.push_back({idx, StrFormat("shard worker %zu died: %s", i, workers_[i].why.c_str())});
+      }
+    }
+  }
+  return lost;
+}
 
 }  // namespace
 
@@ -226,35 +364,12 @@ std::vector<std::vector<size_t>> ShardFiles(const std::vector<const SourceFile*>
 
 ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
                        const ShardedScanConfig& config) {
-  ScanResult result;
-
-  // Same contract as the engine: a malformed fault spec aborts loudly. The
-  // plan also arms here so coordinator-side sites (the KB snapshot's
-  // cache.load/cache.store) fire exactly as they would in-process; workers
-  // arm their own copy from the spec the kJob frame carries.
-  std::optional<ScopedFaultArm> fault_arm;
-  if (!options.fault_spec.empty()) {
-    FaultPlan plan;
-    std::string spec_error;
-    if (!ParseFaultSpec(options.fault_spec, plan, &spec_error)) {
-      result.aborted = true;
-      result.abort_reason = "invalid fault spec: " + spec_error;
-      return result;
-    }
-    fault_arm.emplace(std::move(plan));
+  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
+  if (tree.size() == 0 || config.workers == 0 || config.worker_cmd.empty()) {
+    return engine.Scan(tree);
   }
-
-  std::vector<const SourceFile*> files;
-  files.reserve(tree.size());
-  for (const auto& [path, file] : tree.files()) {
-    files.push_back(&file);
-  }
-  if (files.empty() || config.workers == 0 || config.worker_cmd.empty()) {
-    return InProcessScan(tree, options);
-  }
-
   const std::string socket_dir = config.socket_dir.empty() ? "/tmp" : config.socket_dir;
-  const std::string socket_path =
+  std::string socket_path =
       StrFormat("%s/refscan-shard-%d.sock", socket_dir.c_str(), static_cast<int>(::getpid()));
   std::string ipc_error;
   OwnedFd listener = UnixListen(socket_path, &ipc_error);
@@ -263,355 +378,10 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
     // back to the in-process pipeline rather than failing the scan.
     std::fprintf(stderr, "refscan: sharded scan unavailable (%s); running in-process\n",
                  ipc_error.c_str());
-    return InProcessScan(tree, options);
+    return engine.Scan(tree);
   }
-
-  const std::vector<std::vector<size_t>> shards = ShardFiles(files, config.workers);
-  const size_t nworkers = shards.size();
-  std::vector<WorkerHandle> workers(nworkers);
-  FleetGuard guard{&workers, socket_path};
-
-  for (size_t i = 0; i < nworkers; ++i) {
-    if (!SpawnWorker(config.worker_cmd, socket_path, i, workers[i].pid)) {
-      MarkDead(workers[i], StrFormat("fork failed: %s", std::strerror(errno)));
-    }
-  }
-
-  // Accept until every spawned worker has said kHello (they connect in any
-  // order; the hello id routes each connection to its shard).
-  size_t expected = 0;
-  for (const WorkerHandle& w : workers) {
-    expected += w.dead ? 0 : 1;
-  }
-  for (size_t accepted = 0; accepted < expected; ++accepted) {
-    OwnedFd conn = UnixAccept(listener.get(), kAcceptTimeoutMs, &ipc_error);
-    if (!conn.valid()) {
-      break;  // timeout/error: the workers that never arrived read as dead
-    }
-    uint8_t type = 0;
-    std::string payload;
-    if (RecvFrame(conn.get(), type, payload, &ipc_error) != RecvOutcome::kFrame ||
-        type != kHello) {
-      continue;  // not a worker of ours; drop the connection
-    }
-    ByteReader r(payload);
-    const uint32_t id = r.U32();
-    if (!r.ok() || id >= nworkers || workers[id].conn.valid() || workers[id].dead) {
-      continue;
-    }
-    workers[id].conn = std::move(conn);
-  }
-  for (size_t i = 0; i < nworkers; ++i) {
-    if (!workers[i].dead && !workers[i].conn.valid()) {
-      MarkDead(workers[i], "never connected");
-    }
-  }
-
-  // kJob: options + the shard's files, in global order within the shard.
-  for (size_t i = 0; i < nworkers; ++i) {
-    if (workers[i].dead) {
-      continue;
-    }
-    ByteWriter w;
-    WriteScanOptionsWire(w, options);
-    w.U32(static_cast<uint32_t>(shards[i].size()));
-    for (const size_t idx : shards[i]) {
-      w.Str(files[idx]->path());
-      w.Str(files[idx]->text());
-    }
-    if (!SendFrame(workers[i].conn.get(), kJob, w.bytes(), &ipc_error)) {
-      MarkDead(workers[i], "send job: " + ipc_error);
-    }
-  }
-
-  // Phase 1 of the KB exchange: collect per-file facts (stage-1 output)
-  // from every worker. Span-named like the engine's stage so traces line up
-  // across --workers values.
-  std::vector<CoordFileState> states(files.size());
-  {
-    TelemetrySpan stage_span("stage.parse");
-    for (size_t i = 0; i < nworkers; ++i) {
-      if (workers[i].dead) {
-        continue;
-      }
-      uint8_t type = 0;
-      std::string payload;
-      if (RecvFrame(workers[i].conn.get(), type, payload, &ipc_error) != RecvOutcome::kFrame ||
-          type != kFacts) {
-        MarkDead(workers[i], type == kFacts ? "recv facts: " + ipc_error : "crashed in parse stage");
-        continue;
-      }
-      ByteReader r(payload);
-      const uint32_t count = r.Count();
-      if (count != shards[i].size()) {
-        MarkDead(workers[i], "facts frame: wrong file count");
-        continue;
-      }
-      bool ok = true;
-      for (size_t j = 0; j < shards[i].size() && ok; ++j) {
-        CoordFileState& st = states[shards[i][j]];
-        ReadFileMeta(r, st.failure, st.retried);
-        if (st.failure) {
-          st.failure->path = files[shards[i][j]]->path();
-        }
-        const std::string facts_bytes = r.Str();
-        if (!r.ok()) {
-          ok = false;
-          break;
-        }
-        if (!facts_bytes.empty()) {
-          std::optional<DiscoveryFacts> facts = DeserializeFacts(facts_bytes);
-          if (!facts) {
-            ok = false;
-            break;
-          }
-          st.facts = std::move(*facts);
-        }
-      }
-      if (!ok || !r.ok()) {
-        MarkDead(workers[i], "facts frame: malformed payload");
-      }
-    }
-  }
-  for (const WorkerHandle& w : workers) {
-    if (w.dead) {
-      return RescueScan(files, shards, workers, options);
-    }
-  }
-
-  // From here on the coordinator mirrors the engine's serial spine —
-  // breaker, discovery replay, KB freeze — over the collected facts.
-  const auto breaker_trips = [&](size_t failed) {
-    return options.max_failure_ratio > 0 && !files.empty() &&
-           static_cast<double>(failed) / static_cast<double>(files.size()) >
-               options.max_failure_ratio;
-  };
-  const auto count_failed = [&] {
-    size_t failed = 0;
-    for (const CoordFileState& st : states) {
-      failed += st.failure.has_value() ? 1 : 0;
-    }
-    return failed;
-  };
-  const auto collect_failures = [&] {
-    for (CoordFileState& st : states) {
-      if (st.retried) {
-        ++result.stats.files_retried;
-      }
-      if (st.failure) {
-        ++result.stats.files_quarantined;
-        result.failures.push_back(std::move(*st.failure));
-      }
-    }
-  };
-  // Mirror of the engine's finalize: the stats table (plus the two
-  // registry-only report counters) folds into the armed telemetry session,
-  // so --metrics-out reads the same at every --workers value.
-  size_t raw_report_count = 0;
-  const auto publish_metrics = [&] {
-    if (Telemetry* t = CurrentTelemetry()) {
-      MetricsRegistry reg;
-      for (const ScanStatsField& f : ScanStatsFields()) {
-        reg.Counter(f.metric).Add(result.stats.*f.member);
-      }
-      reg.Counter("scan.raw_reports").Add(raw_report_count);
-      reg.Counter("scan.reports").Add(result.reports.size());
-      t->metrics().MergeFrom(reg);
-    }
-  };
-
-  if (const size_t failed = count_failed(); breaker_trips(failed)) {
-    result.aborted = true;
-    result.abort_reason =
-        StrFormat("%zu of %zu files failed in the parse stage (max_failure_ratio %.2f)", failed,
-                  files.size(), options.max_failure_ratio);
-    result.stats.files = files.size();
-    collect_failures();
-    publish_metrics();
-    return result;
-  }
-
-  // Stage 2 runs here, in one process, in global file order: discovery is
-  // the order-sensitive serial barrier, which is exactly why it never
-  // moved into the workers. The KB snapshot cache works unchanged.
-  KnowledgeBase kb = KnowledgeBase::BuiltIn();
-  for (const std::string& dialect : options.dialects) {
-    ApplyDialect(kb, dialect);
-  }
-  ScanCache cache(MakeScanStore(options));
-  const ScanStageContext ctx = MakeScanStageContext(options, cache);
-  if (ctx.want_facts) {
-    TelemetrySpan stage_span("stage.discover");
-    bool kb_from_snapshot = false;
-    CacheKey kb_key;
-    if (ctx.use_cache) {
-      std::vector<const DiscoveryFacts*> all_facts;
-      all_facts.reserve(states.size());
-      for (const CoordFileState& st : states) {
-        if (st.failure) {
-          continue;
-        }
-        all_facts.push_back(&st.facts);
-      }
-      kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb), options.nesting_threshold,
-                                 all_facts, ctx.options_fp);
-      if (std::optional<KnowledgeBase> snapshot = cache.LoadKb(kb_key)) {
-        kb = std::move(*snapshot);
-        kb_from_snapshot = true;
-        result.stats.kb_snapshot_hits = 1;
-      }
-    }
-    if (!kb_from_snapshot) {
-      for (int round = 0; round < 2; ++round) {
-        for (const CoordFileState& st : states) {
-          if (st.failure) {
-            continue;
-          }
-          kb.DiscoverFromFacts(st.facts, options.nesting_threshold);
-        }
-      }
-      if (ctx.use_cache) {
-        cache.StoreKb(kb_key, kb, "<tree>");
-      }
-    }
-  }
-  result.stats.discovered_apis = kb.apis().size();
-  result.stats.discovered_smart_loops = kb.smart_loops().size();
-  result.stats.refcounted_structs = kb.refcounted_structs().size();
-
-  // Phase 2 of the exchange: broadcast the frozen KB, then collect each
-  // worker's stage-3 results. kResults carries the file's FINAL state —
-  // a stage-3 quarantine overwrites what kFacts reported.
-  const std::string kb_bytes = SerializeKb(kb);
-  for (size_t i = 0; i < nworkers; ++i) {
-    if (!workers[i].dead && !SendFrame(workers[i].conn.get(), kKb, kb_bytes, &ipc_error)) {
-      MarkDead(workers[i], "send kb: " + ipc_error);
-    }
-  }
-
-  std::vector<FileShard> shard_results(files.size());
-  uint64_t worker_corrupt = 0;
-  {
-    TelemetrySpan stage_span("stage.check");
-    for (size_t i = 0; i < nworkers; ++i) {
-      if (workers[i].dead) {
-        continue;
-      }
-      uint8_t type = 0;
-      std::string payload;
-      if (RecvFrame(workers[i].conn.get(), type, payload, &ipc_error) != RecvOutcome::kFrame ||
-          type != kResults) {
-        MarkDead(workers[i], "crashed in check stage");
-        continue;
-      }
-      ByteReader r(payload);
-      const uint32_t count = r.Count();
-      if (count != shards[i].size()) {
-        MarkDead(workers[i], "results frame: wrong file count");
-        continue;
-      }
-      bool ok = true;
-      for (size_t j = 0; j < shards[i].size() && ok; ++j) {
-        CoordFileState& st = states[shards[i][j]];
-        ReadFileMeta(r, st.failure, st.retried);
-        if (st.failure) {
-          st.failure->path = files[shards[i][j]]->path();
-        }
-        st.report_hit = r.Bool();
-        st.parsed = r.Bool();
-        const std::string reports_bytes = r.Str();
-        if (!r.ok()) {
-          ok = false;
-          break;
-        }
-        if (!reports_bytes.empty()) {
-          std::optional<CachedFileReports> reports = DeserializeReports(reports_bytes);
-          if (!reports) {
-            ok = false;
-            break;
-          }
-          shard_results[shards[i][j]].raw = std::move(reports->reports);
-          shard_results[shards[i][j]].functions = static_cast<size_t>(reports->functions);
-          shard_results[shards[i][j]].degraded = std::move(reports->degraded);
-        }
-      }
-      worker_corrupt += r.U64();
-      if (!ok || !r.ok()) {
-        MarkDead(workers[i], "results frame: malformed payload");
-      }
-    }
-  }
-  for (const WorkerHandle& w : workers) {
-    if (w.dead) {
-      return RescueScan(files, shards, workers, options);
-    }
-  }
-
-  if (const size_t failed = count_failed(); breaker_trips(failed)) {
-    result.aborted = true;
-    result.abort_reason = StrFormat("%zu of %zu files failed (max_failure_ratio %.2f)", failed,
-                                    files.size(), options.max_failure_ratio);
-    result.stats.files = files.size();
-    collect_failures();
-    publish_metrics();
-    return result;
-  }
-
-  if (ctx.use_cache) {
-    for (const CoordFileState& st : states) {
-      if (st.failure) {
-        continue;  // quarantined files are neither hits nor misses
-      }
-      ++(st.report_hit ? result.stats.cache_hits : result.stats.cache_misses);
-      if (!st.parsed) {
-        ++result.stats.cache_parse_skips;
-      }
-    }
-    // Workers count their facts/unit/report loads; the coordinator's own
-    // cache only ever loads the KB snapshot. The sum is what one process
-    // doing all of it would have counted.
-    result.stats.cache_corrupt =
-        static_cast<size_t>(worker_corrupt) + static_cast<size_t>(cache.corrupt_loads());
-  }
-
-  // The merge is the engine's, verbatim: file order, first-seen-wins dedup,
-  // suppression comments against the full tree.
-  TelemetrySpan merge_span("stage.merge");
-  std::vector<BugReport> raw;
-  result.stats.files = files.size();
-  for (size_t i = 0; i < shard_results.size(); ++i) {
-    FileShard& shard = shard_results[i];
-    result.stats.functions += shard.functions;
-    raw.insert(raw.end(), std::make_move_iterator(shard.raw.begin()),
-               std::make_move_iterator(shard.raw.end()));
-    result.stats.functions_degraded += shard.degraded.size();
-    for (DegradedFunction& d : shard.degraded) {
-      result.degraded_functions.push_back(
-          DegradedFunctionReport{files[i]->path(), std::move(d.name), d.line, std::move(d.what)});
-    }
-  }
-  raw_report_count = raw.size();
-  result.reports = DeduplicateReports(std::move(raw));
-  collect_failures();
-  std::erase_if(result.reports, [&tree](const BugReport& r) {
-    const SourceFile* file = tree.Find(r.file);
-    if (file == nullptr) {
-      return false;
-    }
-    std::vector<uint32_t> probe_lines = {r.line};
-    if (r.line > 1) {
-      probe_lines.push_back(r.line - 1);
-    }
-    for (uint32_t line : probe_lines) {
-      if (file->Line(line).find("refscan: ignore") != std::string_view::npos ||
-          file->Line(line).find("refscan:ignore") != std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  });
-  publish_metrics();
-  return result;
+  WorkerFleet fleet(config, options, std::move(listener), std::move(socket_path));
+  return engine.Scan(tree, &fleet);
 }
 
 int RunShardWorker(const std::string& socket_path, int worker_id) {
@@ -669,17 +439,11 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   // cache.*, checker.run, and the worker.facts / worker.results crash
   // points) fire in this process too. An injected worker.* fault throws out
   // of here to the CLI's fatal handler — indistinguishable from a crash,
-  // which is the point.
+  // which is the point. The coordinator's engine validated the spec before
+  // any job went out.
   std::optional<ScopedFaultArm> fault_arm;
   if (!options.fault_spec.empty()) {
-    FaultPlan plan;
-    std::string spec_error;
-    if (!ParseFaultSpec(options.fault_spec, plan, &spec_error)) {
-      std::fprintf(stderr, "refscan worker %d: invalid fault spec: %s\n", worker_id,
-                   spec_error.c_str());
-      return 1;
-    }
-    fault_arm.emplace(std::move(plan));
+    fault_arm.emplace(options.fault_spec);
   }
 
   std::vector<const SourceFile*> files;

@@ -1,11 +1,13 @@
-// Sharded multi-process scanning (DESIGN.md §5.13, ROADMAP item 4).
+// Sharded multi-process scanning (DESIGN.md §5.13).
 //
-// `refscan scan --workers N` splits the tree's file list into N
-// content-balanced shards and runs the parallel pipeline stages in N
-// `refscan worker` subprocesses, keeping the order-sensitive parts — KB
-// discovery, the circuit breaker, the file-ordered merge — in the
-// coordinator. The protocol over a Unix-domain socket (support/ipc.h), five
-// frame types in lockstep per worker:
+// `refscan scan --workers N` runs the two per-file pipeline stages in N
+// `refscan worker` subprocesses. This file holds only the execution
+// strategy: the worker fleet is a ScanStageExecutor (scan_stages.h) that
+// CheckerEngine::Scan drives like its in-process thread pool. The engine
+// stays the one orchestrator — KB discovery, the circuit breaker, the
+// file-ordered merge, dedup, suppression and the stats all run there, once,
+// whatever executes stages 1 and 3. The protocol over a Unix-domain socket
+// (support/ipc.h), five frame types in lockstep per worker:
 //
 //   worker → coordinator   kHello    worker id
 //   coordinator → worker   kJob      ScanOptions + the shard's (path, text)
@@ -13,21 +15,26 @@
 //   coordinator → worker   kKb       the post-discovery KB snapshot
 //   worker → coordinator   kResults  per-file report shards + cache flags
 //
-// The kFacts/kKb round trip is the two-phase KB exchange: workers parse
-// their shards (stage 1, sharing the per-file bodies in scan_stages.cc with
-// the in-process engine), the coordinator replays DiscoverFromFacts over
-// every healthy file in global tree order — exactly the serial barrier the
-// engine runs — and broadcasts the resulting KB, which the workers use for
-// stage 3. Output is byte-identical to `--workers 0` because every
-// divergence point is pinned: same stage bodies, same discovery order, same
-// KB bytes (SerializeKb round-trips everything the KB fingerprint
-// observes), same file-ordered merge and dedup on the coordinator.
+// The executor's Parse call spawns the fleet and turns the kFacts frames
+// into the engine's per-file states; the engine runs discovery over them in
+// global tree order; the executor's Check call broadcasts the frozen KB and
+// turns the kResults frames into per-file report shards. Workers run the
+// same RunParseStage/RunCheckStage bodies as the in-process executor, and
+// SerializeKb round-trips everything the KB fingerprint observes, so the
+// output is byte-identical to `--workers 0`.
 //
 // Failure semantics: a worker that dies mid-protocol (crash, kill, protocol
-// error) costs its shard, not the scan. The coordinator discards all worker
-// results, rescans the surviving files in-process — making "the degraded
-// scan's reports match scanning the surviving subset" true by construction
-// — and quarantines the dead shard's files into the §5.9 degraded section.
+// error) costs its shard, not the scan. The fleet reports the shard's files
+// as lost; the engine drops every worker result, quarantines those files
+// ("shard worker K died") and rescans the survivors in-process — so the
+// degraded scan's reports match scanning the surviving subset by
+// construction, and its stats and metrics come from the same code as any
+// other scan.
+//
+// Interprocedural scans (`--ipa`) never use the fleet: stage 2.5 walks
+// every TranslationUnit of the tree in one address space, and workers ship
+// discovery facts, not units. Shipping units would cost more than the
+// fleet saves, so the engine runs such scans in-process.
 
 #ifndef REFSCAN_CHECKERS_SHARDED_H_
 #define REFSCAN_CHECKERS_SHARDED_H_
@@ -59,11 +66,11 @@ struct ShardedScanConfig {
   std::string socket_dir;
 };
 
-// Coordinator entry point: scans `tree` across config.workers subprocesses.
-// Drop-in replacement for CheckerEngine(...).Scan(tree) — reports, stats,
-// failures and abort behaviour match it byte for byte (asserted by
-// tests/sharded_test.cc). Incompatible with options.interprocedural (a
-// whole-tree stage); callers handle that by falling back to in-process.
+// Coordinator entry point: CheckerEngine(BuiltIn, options).Scan(tree) with
+// stages 1 and 3 on config.workers subprocesses. Reports, stats, failures,
+// metrics and abort behaviour match the in-process scan byte for byte
+// (asserted by tests/sharded_test.cc). An empty tree, `workers == 0`, an
+// unusable socket or options.interprocedural scan in-process.
 ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
                        const ShardedScanConfig& config);
 

@@ -216,41 +216,72 @@ TEST(ShardedScanTest, KilledWorkerDegradesToSurvivingSubsetScan) {
   const auto shards = ShardFiles(files, 4);
   ASSERT_EQ(shards.size(), 4u);
 
-  ScanOptions options;
-  options.jobs = 2;
-  // Deterministically crash worker 1 at the facts barrier: the injected
-  // fault throws out of RunShardWorker, killing the process like any other
-  // unhandled worker crash would.
-  options.fault_spec = "worker.facts:file=1";
-  const ScanResult degraded = ShardedScan(tree, options, Config(4));
-  EXPECT_FALSE(degraded.aborted);
+  // Deterministically crash worker 1, once at the facts barrier (stage 1)
+  // and once at the results barrier (stage 3): the injected fault throws
+  // out of RunShardWorker, killing the process like any other unhandled
+  // worker crash would.
+  for (const char* spec : {"worker.facts:file=1", "worker.results:file=1"}) {
+    SCOPED_TRACE(spec);
+    ScanOptions options;
+    options.jobs = 2;
+    options.fault_spec = spec;
+    Telemetry session;
+    ScanResult degraded;
+    {
+      ScopedTelemetry arm(session);
+      degraded = ShardedScan(tree, options, Config(4));
+    }
+    EXPECT_FALSE(degraded.aborted);
 
-  // The dead shard's files are quarantined (stage check, kind internal)...
-  ASSERT_EQ(degraded.failures.size(), shards[1].size());
-  for (const FileFailure& f : degraded.failures) {
-    EXPECT_EQ(f.stage, FailureStage::kCheck) << f.path;
-    EXPECT_EQ(f.kind, FailureKind::kInternal) << f.path;
-    EXPECT_NE(f.what.find("shard worker 1"), std::string::npos) << f.what;
-  }
+    // The dead shard's files are quarantined (stage check, kind internal)...
+    ASSERT_EQ(degraded.failures.size(), shards[1].size());
+    for (const FileFailure& f : degraded.failures) {
+      EXPECT_EQ(f.stage, FailureStage::kCheck) << f.path;
+      EXPECT_EQ(f.kind, FailureKind::kInternal) << f.path;
+      EXPECT_NE(f.what.find("shard worker 1"), std::string::npos) << f.what;
+    }
 
-  // ...and the reports are byte-identical to scanning the survivors alone.
-  SourceTree survivors;
-  std::vector<bool> dead(files.size(), false);
-  for (const size_t idx : shards[1]) {
-    dead[idx] = true;
-  }
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (!dead[i]) {
-      survivors.Add(files[i]->path(), std::string(files[i]->text()));
+    // ...and the reports are byte-identical to scanning the survivors alone.
+    SourceTree survivors;
+    std::vector<bool> dead(files.size(), false);
+    for (const size_t idx : shards[1]) {
+      dead[idx] = true;
+    }
+    for (size_t i = 0; i < files.size(); ++i) {
+      if (!dead[i]) {
+        survivors.Add(files[i]->path(), std::string(files[i]->text()));
+      }
+    }
+    ScanOptions plain;
+    plain.jobs = 2;
+    CheckerEngine engine(KnowledgeBase::BuiltIn(), plain);
+    const ScanResult want = engine.Scan(survivors);
+    EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(degraded.reports));
+    EXPECT_EQ(degraded.stats.files, files.size());
+    EXPECT_EQ(degraded.stats.files_quarantined, shards[1].size());
+
+    // --metrics-out and --stats are two views of one count: every scan.*
+    // counter equals its ScanStats member, dead shard included.
+    for (const ScanStatsField& f : ScanStatsFields()) {
+      EXPECT_EQ(session.metrics().CounterValue(f.metric), degraded.stats.*f.member) << f.metric;
     }
   }
-  ScanOptions plain;
-  plain.jobs = 2;
-  CheckerEngine engine(KnowledgeBase::BuiltIn(), plain);
-  const ScanResult want = engine.Scan(survivors);
-  EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(degraded.reports));
-  EXPECT_EQ(degraded.stats.files, files.size());
-  EXPECT_EQ(degraded.stats.files_quarantined, shards[1].size());
+}
+
+// Stage 2.5 walks every unit in one address space, so an --ipa scan runs
+// in-process whatever the worker count — and must still be the real
+// interprocedural scan, summaries and all.
+TEST(ShardedScanTest, InterproceduralScanMatchesInProcess) {
+  CorpusOptions corpus_options;
+  corpus_options.wrapper_chain_depths = {2};
+  const Corpus corpus = GenerateKernelCorpus(corpus_options);
+  ScanOptions options;
+  options.jobs = 2;
+  options.interprocedural = true;
+  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
+  const ScanResult want = engine.Scan(corpus.tree);
+  EXPECT_GT(want.stats.summarized_functions, 0u);
+  ExpectSameResult(want, ShardedScan(corpus.tree, options, Config(2)));
 }
 
 TEST(ShardedScanTest, TraceAndMetricsIdenticalAcrossWorkerCounts) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -353,7 +355,10 @@ TEST(ScanTelemetryTest, TraceCoversEveryStageAndEveryFile) {
 }
 
 TEST(ScanTelemetryTest, DiskLoadEmitsLoadSpans) {
-  const stdfs::path root = stdfs::temp_directory_path() / "refscan_telemetry_fs_test";
+  // Per process, like every temp tree here: ctest runs tests concurrently.
+  const stdfs::path root = stdfs::temp_directory_path() /
+                           ("refscan_telemetry_fs_test-" + std::to_string(::getpid()) +
+                            "-DiskLoadEmitsLoadSpans");
   stdfs::remove_all(root);
   stdfs::create_directories(root);
   std::ofstream(root / "one.c") << "int one;\n";

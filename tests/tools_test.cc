@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -177,7 +179,12 @@ TEST(PatternListTest, EnabledPatternsRestrictTheScan) {
 class DiskTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() / "refscan_fs_test";
+    // Per process and per test: ctest runs each case as its own process,
+    // and a shared directory would let one case's TearDown delete the
+    // other's tree mid-test.
+    root_ = std::filesystem::temp_directory_path() /
+            ("refscan_fs_test-" + std::to_string(::getpid()) + "-" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_ / "drivers" / "usb");
     std::filesystem::create_directories(root_ / ".git");

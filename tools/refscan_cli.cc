@@ -107,7 +107,7 @@ int Usage() {
                "                        precedence over --cache-dir)\n"
                "  --workers N       shard the scan across N worker subprocesses; output is\n"
                "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
-               "                    the default; incompatible with --interprocedural)\n"
+               "                    the default; --interprocedural scans run in-process)\n"
                "  --streaming       bounded-memory unit lifecycle for multi-MLOC trees: each\n"
                "                    file's AST is dropped after stage 1 and re-parsed just in\n"
                "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
@@ -379,10 +379,9 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
 
   size_t workers = flags.workers;
   if (workers > 0 && flags.interprocedural) {
-    // Stage 2.5 is a whole-tree pass over every unit; it cannot shard.
+    // The engine runs stage 2.5 scans in-process whatever the executor.
     std::fprintf(stderr, "refscan: --workers is incompatible with --interprocedural; "
                          "running in-process\n");
-    workers = 0;
   }
   ScanResult result;
   bool have_result = false;
