@@ -348,17 +348,16 @@ BENCHMARK(BM_FullTreeScanInterprocedural)
     ->Unit(benchmark::kMillisecond);
 
 // Incremental rescan with the persistent cache (DESIGN.md §5.8): prime the
-// cache once, then per iteration touch range(0) percent of the corpus files
-// (a trailing comment — content changes, discovery facts do not, so the KB
-// fingerprint stays stable and untouched files stay hot) and rescan.
-// Compare against BM_FullTreeScan for the speedup (acceptance target: >= 5x
-// at 0–1% change rates).
-void BM_IncrementalRescan(benchmark::State& state) {
+// cache once, then per iteration edit the corpus and rescan. Comment edits
+// touch `changed` files (content changes, discovery facts do not, so the KB
+// snapshot hits and untouched files stay hot); a KB edit instead appends a
+// fresh, uniquely named, unused wrapper API to the first file, which moves
+// discovery but no other file's KB slice.
+void IncrementalRescan(benchmark::State& state, const std::string& tag, int pct, bool kb_edit) {
   static const Corpus* corpus = new Corpus(GenerateKernelCorpus());
   namespace stdfs = std::filesystem;
-  const int pct = static_cast<int>(state.range(0));
   const std::string cache_dir =
-      (stdfs::temp_directory_path() / ("refscan_bench_cache_" + std::to_string(pct))).string();
+      (stdfs::temp_directory_path() / ("refscan_bench_cache_" + tag)).string();
   stdfs::remove_all(cache_dir);
   ScanOptions options;
   options.cache_dir = cache_dir;
@@ -381,6 +380,10 @@ void BM_IncrementalRescan(benchmark::State& state) {
       if (i < changed) {
         text += "// rev " + std::to_string(rev) + "\n";
       }
+      if (kb_edit && i == 0) {
+        text += "struct device_node *bench_wrap_get_" + std::to_string(rev) +
+                "(struct device_node *np)\n{\n\treturn of_node_get(np);\n}\n";
+      }
       tree.Add(paths[i], std::move(text));
     }
     state.ResumeTiming();
@@ -391,7 +394,22 @@ void BM_IncrementalRescan(benchmark::State& state) {
                           static_cast<int64_t>(paths.size()));
   stdfs::remove_all(cache_dir);
 }
+
+// range(0) percent of the files get a trailing comment. Compare against
+// BM_FullTreeScan for the speedup (acceptance target: >= 5x at 0–1%).
+void BM_IncrementalRescan(benchmark::State& state) {
+  const int pct = static_cast<int>(state.range(0));
+  IncrementalRescan(state, std::to_string(pct), pct, /*kb_edit=*/false);
+}
 BENCHMARK(BM_IncrementalRescan)->Arg(0)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
+
+// One fresh wrapper API per rescan: the KB changes every iteration, but
+// only the edited file's KB slice does, so this should cost about what
+// BM_IncrementalRescan/0 costs plus one discovery replay.
+void BM_IncrementalRescanKbEdit(benchmark::State& state) {
+  IncrementalRescan(state, "kb_edit", 0, /*kb_edit=*/true);
+}
+BENCHMARK(BM_IncrementalRescanKbEdit)->Unit(benchmark::kMillisecond);
 
 // A warm rescan against the resident service (`refscan serve`, DESIGN.md
 // §5.14): one in-process ScanServer holds the tree's artifacts in its

@@ -27,7 +27,8 @@
 # Covered benchmarks: the cold full-tree scan (BM_FullTreeScan, its
 # threaded variant, and BM_FullTreeScanAllFamilies — the P10-P12 + dialect
 # configuration of DESIGN.md §5.12), the warm incremental rescan at 0/1/10
-# percent change rates (BM_IncrementalRescan), the sharded multi-process
+# percent change rates and after a one-file KB (wrapper API) edit
+# (BM_IncrementalRescan, BM_IncrementalRescanKbEdit), the sharded multi-process
 # scan cold and over a shared warm store (BM_ShardedScan,
 # BM_ShardedScanWarmShared — DESIGN.md §5.13), the parallel on-disk tree
 # load (BM_ParallelTreeLoad), the memory-layer micro-benches
@@ -35,6 +36,12 @@
 # kernel-realism scan with streaming off/on (BM_KernelishScan — DESIGN.md
 # §5.15). The speedup of BM_IncrementalRescan/0 over BM_FullTreeScan is the
 # cache's headline number (target: >= 5x).
+#
+# Each benchmark runs 5 repetitions and a row records only their aggregates
+# (`run_type == "aggregate"`: `_mean`, `_median`, `_stddev` and `_cv`, the
+# stddev / mean), so a diff between rows can be read against the noise:
+# `jq '.refscan_bench_history[-1].benchmarks[] | select(.aggregate_name == "median")'`.
+# Older rows hold a single repetition each.
 set -eu
 
 PERF_BIN="${1:-}"
@@ -65,7 +72,8 @@ trap 'rm -f "$RUN_JSON"' EXIT
   --benchmark_filter='BM_FullTreeScan|BM_FullTreeScanAllFamilies|BM_FullTreeScanParallel|BM_IncrementalRescan|BM_ShardedScan|BM_ParallelTreeLoad|BM_InternerLookup|BM_KbFindApi|BM_KernelishScan' \
   --benchmark_out="$RUN_JSON" \
   --benchmark_out_format=json \
-  --benchmark_repetitions=1
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true
 
 # perf_pipeline embeds its own CMAKE_BUILD_TYPE (context.refscan_build_type);
 # don't trust library_build_type, which reflects the benchmark *library*

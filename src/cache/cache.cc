@@ -19,7 +19,9 @@ namespace {
 // carries tests_zero, and the KB snapshot/fingerprint cover the refcount-field
 // and dialect-free-function registries (P10-P12, DESIGN.md §5.12). v4: units
 // and report shards carry the quarantined-function list (DESIGN.md §5.15).
-constexpr uint32_t kFormatVersion = 4;
+// v5: DiscoveryFacts carries raw_fields, and report shards are keyed by the
+// file's KB-slice fingerprint instead of the whole-KB one.
+constexpr uint32_t kFormatVersion = 5;
 constexpr char kMagic[4] = {'R', 'F', 'S', 'C'};
 
 constexpr uint8_t kKindFacts = 1;
@@ -31,6 +33,21 @@ std::string HexU64(uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   return buf;
+}
+
+// Every RefApiInfo field but the name, in the one order the KB snapshot,
+// the whole-KB fingerprint and the slice fingerprint all use.
+void WriteApiFields(ByteWriter& w, const RefApiInfo& api) {
+  w.U8(static_cast<uint8_t>(api.direction));
+  w.U8(static_cast<uint8_t>(api.category));
+  w.Bool(api.returns_error);
+  w.Bool(api.may_return_null);
+  w.Bool(api.returns_object);
+  w.I32(api.object_param);
+  w.I32(api.consumed_param);
+  w.Bool(api.hidden);
+  w.Bool(api.tests_zero);
+  w.Bool(api.discovered);
 }
 
 // ---------------------------------------------------------------------------
@@ -70,6 +87,10 @@ void WriteFacts(ByteWriter& w, const DiscoveryFacts& facts) {
       w.Str(p);
     }
     w.Str(m.body);
+  }
+  w.U32(static_cast<uint32_t>(facts.raw_fields.size()));
+  for (const std::string& field : facts.raw_fields) {
+    w.Str(field);
   }
 }
 
@@ -124,6 +145,11 @@ DiscoveryFacts ReadFacts(ByteReader& r) {
     }
     m.body = r.Str();
     facts.macros.push_back(std::move(m));
+  }
+  const uint32_t n_fields = r.Count();
+  facts.raw_fields.reserve(n_fields);
+  for (uint32_t i = 0; i < n_fields && r.ok(); ++i) {
+    facts.raw_fields.push_back(r.Str());
   }
   return facts;
 }
@@ -446,16 +472,7 @@ uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb) {
   w.U32(kFormatVersion);
   for (const auto& [name, api] : kb.apis()) {
     w.Str(name);
-    w.U8(static_cast<uint8_t>(api.direction));
-    w.U8(static_cast<uint8_t>(api.category));
-    w.Bool(api.returns_error);
-    w.Bool(api.may_return_null);
-    w.Bool(api.returns_object);
-    w.I32(api.object_param);
-    w.I32(api.consumed_param);
-    w.Bool(api.hidden);
-    w.Bool(api.tests_zero);
-    w.Bool(api.discovered);
+    WriteApiFields(w, api);
   }
   for (const auto& [name, loop] : kb.smart_loops()) {
     w.Str(name);
@@ -481,6 +498,42 @@ uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb) {
   }
   for (const std::string& f : kb.extra_free_functions()) {
     w.Str(f);
+  }
+  return HashBytes(w.bytes());
+}
+
+uint64_t FingerprintKbSlice(const KnowledgeBase& kb, const DiscoveryFacts& facts) {
+  // Keyed through interned Symbols exactly as BuildCpg looks them up, so
+  // the "__"-prefix FindApi fallback answers here as it does there.
+  ByteWriter w;
+  for (const Symbol name : KbSliceKeys(facts)) {
+    w.Str(name.view());
+    if (const RefApiInfo* api = kb.FindApi(name)) {
+      w.U8(1);
+      w.Str(api->name);
+      WriteApiFields(w, *api);
+    } else {
+      w.U8(0);
+    }
+    if (const SmartLoopInfo* loop = kb.FindSmartLoop(name)) {
+      w.U8(1);
+      w.Str(loop->name);
+      w.I32(loop->iterator_arg);
+      w.Str(loop->embedded_api);
+    } else {
+      w.U8(0);
+    }
+    if (const std::vector<int>* derefs = kb.FindParamDerefs(name)) {
+      w.U32(static_cast<uint32_t>(derefs->size()) + 1);  // 0 stays "absent"
+      for (const int p : *derefs) {
+        w.I32(p);
+      }
+    } else {
+      w.U32(0);
+    }
+    w.Bool(kb.IsFreeApi(name));
+    w.I32(kb.FindOwnershipSink(name));
+    w.Bool(kb.IsRefcountField(name));
   }
   return HashBytes(w.bytes());
 }
@@ -541,16 +594,7 @@ std::string SerializeKb(const KnowledgeBase& kb) {
   w.U32(static_cast<uint32_t>(kb.apis().size()));
   for (const auto& [name, api] : kb.apis()) {
     w.Str(name);
-    w.U8(static_cast<uint8_t>(api.direction));
-    w.U8(static_cast<uint8_t>(api.category));
-    w.Bool(api.returns_error);
-    w.Bool(api.may_return_null);
-    w.Bool(api.returns_object);
-    w.I32(api.object_param);
-    w.I32(api.consumed_param);
-    w.Bool(api.hidden);
-    w.Bool(api.tests_zero);
-    w.Bool(api.discovered);
+    WriteApiFields(w, api);
   }
   w.U32(static_cast<uint32_t>(kb.smart_loops().size()));
   for (const auto& [name, loop] : kb.smart_loops()) {

@@ -8,10 +8,9 @@
 //   <key>.facts     the file's DiscoveryFacts (the KB-independent stage-2
 //                   projection, see src/kb) — replaces parsing on the warm
 //                   non-interprocedural path
-//   <key>.unit      the parsed TranslationUnit — replaces parsing whenever
-//                   the file's reports must be (re)computed (--ipa mode, or
-//                   a KB-fingerprint mismatch)
-//   <key>-<kbfp>.reports   the raw stage-3 report shard + function count
+//   <key>.unit      the parsed TranslationUnit — replaces parsing on the
+//                   --ipa path, where stage 2.5 walks every unit
+//   <key>-<slicefp>.reports   the raw stage-3 report shard + function count
 //
 // plus one tree-level artifact:
 //
@@ -23,9 +22,10 @@
 //                   classifying ~1k discovered APIs from scratch)
 //
 // <key> is 128 bits of FNV-1a over (format version, file path, file
-// content, options fingerprint); <kbfp> additionally pins the exact
-// post-discovery knowledge base, because a file's reports are a pure
-// function of (content, KB, options). Loads validate magic, version, kind
+// content, options fingerprint); <slicefp> additionally pins the
+// post-discovery KB's answers to every lookup the file's checkers can make
+// (FingerprintKbSlice), because a file's reports are a pure function of
+// (content, those answers, options). Loads validate magic, version, kind
 // and a payload checksum, and treat any mismatch as a miss — a corrupted or
 // truncated entry can cost time, never correctness. Raw blob I/O goes
 // through an ObjectStore backend (src/cache/store.h): LocalStore writes to
@@ -78,9 +78,18 @@ CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
 
 // Deterministic digest of the entire knowledge base (APIs with all flags,
 // smartloops, refcounted structs, ownership sinks, param-deref facts) in
-// map order. Two scans whose post-discovery KBs fingerprint equal run the
-// checkers over identical inputs, which is what lets stage 3 be skipped.
+// map order. It pins the pre-discovery KB in the snapshot key, and keys
+// report shards when discovery is off and there is no slice to take.
 uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb);
+
+// Digest of the KB's answers to every lookup one file's stage 3 can make:
+// for each name in KbSliceKeys(facts), what FindApi (the whole RefApiInfo,
+// name included), FindSmartLoop, FindParamDerefs, IsFreeApi,
+// FindOwnershipSink and IsRefcountField return, absent answers hashed as a
+// constant. The file's report shard is a pure function of (file key, these
+// answers), so this — not the whole-KB fingerprint — keys its .reports
+// object: a discovery edit re-checks only the files whose answers moved.
+uint64_t FingerprintKbSlice(const KnowledgeBase& kb, const DiscoveryFacts& facts);
 
 // One file's cached stage-3 output: the raw (pre-dedup) report shard in
 // checker emission order, the file's function count for ScanStats, and any

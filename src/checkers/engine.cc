@@ -360,11 +360,12 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
   m.refcounted_structs.Add(kb_.refcounted_structs().size());
 
   // The KB is frozen from here on. A file's stage-3 shard is a pure
-  // function of (file content, KB, options): fingerprint the KB and the
-  // cache can prove a stored shard is still valid. Any content change that
-  // altered discovery shifts this fingerprint and invalidates every stored
-  // shard at once — the conservative, correct reaction.
-  const uint64_t kb_fp = use_cache ? FingerprintKnowledgeBase(kb_) : 0;
+  // function of (file content, the KB's answers to that file's lookups,
+  // options), so RunCheckStage keys each shard on the file's own KB slice
+  // (FingerprintKbSlice) and a discovery edit re-checks only the files
+  // whose answers moved. Without discovery there are no facts to derive a
+  // slice from, and the whole-KB fingerprint keys every shard instead.
+  const uint64_t kb_fp = use_cache && !want_facts ? FingerprintKnowledgeBase(kb_) : 0;
 
   // Stage 3: build contexts and run the enabled checkers (parallel — the
   // KB is read-only from here on; KnowledgeBase lookups are const and safe

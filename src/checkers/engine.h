@@ -61,7 +61,8 @@ struct ScanOptions {
   // Persistent incremental scan cache directory (src/cache, DESIGN.md
   // §5.8); empty = no caching. On a rescan, files whose content and options
   // are unchanged replay their cached discovery facts (skipping the parse),
-  // and — when the post-discovery KB fingerprint also matches — splice
+  // and — when the post-discovery KB still gives the same answers to every
+  // lookup the file can make (its KB-slice fingerprint) — splice
   // their cached report shards (skipping CFG/CPG construction and checking
   // entirely). Reports are byte-identical to a cold scan at every `jobs`
   // value; the cache can only cost time, never change output.

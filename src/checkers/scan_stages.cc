@@ -318,8 +318,13 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
       file.path(), FailureStage::kCheck, options.file_timeout_ms, retry_ok,
       [&] {
         shard = FileShard{};
+        // With facts, the shard is keyed on the file's own KB slice, so a
+        // discovery edit elsewhere only misses here if it moved an answer
+        // this file can observe; without them, on the whole KB.
+        const uint64_t shard_fp =
+            ctx.use_cache && ctx.want_facts ? FingerprintKbSlice(kb, st.facts) : kb_fp;
         if (ctx.use_cache) {
-          if (std::optional<CachedFileReports> cached = cache.LoadReports(st.key, kb_fp)) {
+          if (std::optional<CachedFileReports> cached = cache.LoadReports(st.key, shard_fp)) {
             st.report_hit = true;
             shard.raw = std::move(cached->reports);
             shard.functions = static_cast<size_t>(cached->functions);
@@ -335,8 +340,8 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
           st.unit.reset();
         } else {
           // Facts were cached but this file's reports were invalidated
-          // (another file changed the KB): re-parse just this file,
-          // in-memory.
+          // (another file moved an answer in its KB slice): re-parse just
+          // this file, in-memory.
           unit = ParseFile(file, ctx.popts);
           st.parsed = true;
         }
@@ -346,7 +351,7 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
           entry.reports = shard.raw;
           entry.functions = shard.functions;
           entry.degraded = shard.degraded;
-          cache.StoreReports(st.key, kb_fp, entry, file.path());
+          cache.StoreReports(st.key, shard_fp, entry, file.path());
         }
       },
       st.failure, st.retried);

@@ -102,10 +102,12 @@ ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cac
 // replay and stage 3 see a file that simply is not there.
 FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx);
 
-// Stage 3 for one file: splice the cached report shard when the KB
-// fingerprint proves it valid, otherwise build contexts and run the enabled
-// checkers. A file quarantined earlier returns an empty shard untouched;
-// a stage-3 quarantine sets `st.failure` and returns an empty shard.
+// Stage 3 for one file: splice the cached report shard when its key proves
+// it valid, otherwise build contexts and run the enabled checkers. The key
+// is FingerprintKbSlice(kb, st.facts) when discovery produced facts, and
+// `kb_fp` (FingerprintKnowledgeBase) otherwise. A file quarantined earlier
+// returns an empty shard untouched; a stage-3 quarantine sets `st.failure`
+// and returns an empty shard.
 FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
                         uint64_t kb_fp, const ScanStageContext& ctx);
 
@@ -132,7 +134,8 @@ class ScanStageExecutor {
                      std::vector<FileScanState>& states, const ScanStageContext& ctx) = 0;
 
   // Stage 3 for every file against the frozen KB (kb_fp as in
-  // RunCheckStage); updates each state's failure and cache flags.
+  // RunCheckStage, 0 unless the cache is on and discovery is off); updates
+  // each state's failure and cache flags.
   virtual std::vector<FileShard> Check(const std::vector<const SourceFile*>& files,
                                        std::vector<FileScanState>& states,
                                        const KnowledgeBase& kb, uint64_t kb_fp,

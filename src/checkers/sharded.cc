@@ -493,7 +493,7 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
     std::fprintf(stderr, "refscan worker %d: malformed kb frame\n", worker_id);
     return 1;
   }
-  const uint64_t kb_fp = ctx.use_cache ? FingerprintKnowledgeBase(*kb) : 0;
+  const uint64_t kb_fp = ctx.use_cache && !ctx.want_facts ? FingerprintKnowledgeBase(*kb) : 0;
 
   // Stage 3 over the shard, against the coordinator's frozen KB.
   const KnowledgeBase& kb_ref = *kb;

@@ -20,7 +20,7 @@
 // global tree order; the executor's Check call broadcasts the frozen KB and
 // turns the kResults frames into per-file report shards. Workers run the
 // same RunParseStage/RunCheckStage bodies as the in-process executor, and
-// SerializeKb round-trips everything the KB fingerprint observes, so the
+// SerializeKb round-trips every answer a KB-slice fingerprint observes, so the
 // output is byte-identical to `--workers 0`.
 //
 // Failure semantics: a worker that dies mid-protocol (crash, kill, protocol

@@ -514,6 +514,14 @@ KnowledgeBase KnowledgeBase::BuiltIn() {
 
 DiscoveryFacts ExtractDiscoveryFacts(const TranslationUnit& unit) {
   DiscoveryFacts facts;
+  // A file has a handful of distinct raw-site fields but may hit them
+  // often: deduplicate on the ids as they arrive, order by text once.
+  std::vector<Symbol> raw_fields;
+  const auto add_raw_field = [&raw_fields](Symbol field) {
+    if (std::find(raw_fields.begin(), raw_fields.end(), field) == raw_fields.end()) {
+      raw_fields.push_back(field);
+    }
+  };
 
   facts.structs.reserve(unit.structs.size());
   for (const StructDef& def : unit.structs) {
@@ -573,8 +581,15 @@ DiscoveryFacts ExtractDiscoveryFacts(const TranslationUnit& unit) {
           f.events.push_back(std::move(ev));
         }
       }
+      // The CPG's refcount-field lookups: a member under ++/--, or a
+      // member on the left of any assignment.
+      if (e.kind == Expr::Kind::kAssign && !e.args.empty() && e.args[0] != nullptr &&
+          e.args[0]->kind == Expr::Kind::kMember) {
+        add_raw_field(e.args[0]->value);
+      }
       if (e.kind == Expr::Kind::kUnary && (e.value == "++" || e.value == "--") &&
           !e.args.empty() && e.args[0] != nullptr && e.args[0]->kind == Expr::Kind::kMember) {
+        add_raw_field(e.args[0]->value);
         const std::string lower = ToLower(e.args[0]->value.view());
         if (lower.find("ref") != std::string::npos || lower.find("count") != std::string::npos) {
           DiscoveryFacts::RefEvent ev;
@@ -628,7 +643,34 @@ DiscoveryFacts ExtractDiscoveryFacts(const TranslationUnit& unit) {
     m.body = macro.body;
     facts.macros.push_back(std::move(m));
   }
+
+  std::sort(raw_fields.begin(), raw_fields.end());  // by text: ids are run-dependent
+  facts.raw_fields.reserve(raw_fields.size());
+  for (const Symbol field : raw_fields) {
+    facts.raw_fields.push_back(field.str());
+  }
   return facts;
+}
+
+std::vector<Symbol> KbSliceKeys(const DiscoveryFacts& facts) {
+  std::vector<Symbol> keys;
+  keys.reserve(facts.raw_fields.size());
+  for (const std::string& field : facts.raw_fields) {
+    keys.push_back(Intern(field));
+  }
+  for (const DiscoveryFacts::Function& fn : facts.functions) {
+    for (const DiscoveryFacts::RefEvent& ev : fn.events) {
+      if (ev.is_call) {
+        keys.push_back(Intern(ev.callee));
+      }
+    }
+  }
+  // Deduplicate on the ids (cheap integer compares), then order the few
+  // survivors by text: ids are run-dependent, the fingerprint must not be.
+  std::sort(keys.begin(), keys.end(), [](Symbol a, Symbol b) { return a.id() < b.id(); });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 void KnowledgeBase::DiscoverFromUnit(const TranslationUnit& unit, int nesting_threshold) {

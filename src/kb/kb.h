@@ -136,9 +136,23 @@ struct DiscoveryFacts {
   std::vector<Struct> structs;
   std::vector<Function> functions;  // body-carrying functions only
   std::vector<Macro> macros;        // function-like macros whose body says "for"
+  // Member names at every raw-site refcount-field lookup the CPG makes
+  // (`x->m++`, `x->m--`, `x->m <op>= …`), sorted and unique. Discovery
+  // ignores them; they complete the file's KB slice keys (KbSliceKeys).
+  std::vector<std::string> raw_fields;
 };
 
 DiscoveryFacts ExtractDiscoveryFacts(const TranslationUnit& unit);
+
+// Every name the file's stage 3 can look up in a KnowledgeBase, interned,
+// unique and sorted by text: each call event's callee (BuildCpg keys
+// FindApi, FindParamDerefs, IsFreeApi, FindOwnershipSink and — at
+// macro-loop heads, whose kCall the same walk visits — FindSmartLoop on
+// it) and each raw-site member name (IsRefcountField). A file's report shard is a pure function of its
+// content and the KB's answers for these names, which is what lets the
+// cache key the shard on a slice of the KB (DESIGN.md §5.8). Any new KB
+// read on the check path must extend this set.
+std::vector<Symbol> KbSliceKeys(const DiscoveryFacts& facts);
 
 // Thread-safety: the const lookup surface (FindApi / FindSmartLoop /
 // IsRefcountedStruct / FindOwnershipSink and the accessors) never mutates,

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -132,12 +133,12 @@ TEST_F(CacheTest, CommentOnlyChangeInvalidatesOnlyThatFile) {
   EXPECT_EQ(warm.stats.cache_parse_skips, edited.size() - 1);
 }
 
-TEST_F(CacheTest, DiscoveryChangeInvalidatesEveryReportShard) {
+TEST_F(CacheTest, DiscoveryChangeRechecksOnlyFilesWhoseSliceMoved) {
   ScanTree(SmallTree(), cache_dir_);  // prime
 
-  // A new increase-API wrapper changes what discovery finds, so the KB
-  // fingerprint moves and every stored report shard must be recomputed —
-  // correctness over reuse.
+  // A new increase-API wrapper changes what discovery finds, but no other
+  // file calls it: their KB slices are unchanged, so only the edited file
+  // re-checks and every other shard splices.
   SourceTree edited = SmallTree();
   std::string text(edited.Find("drivers/b/wrapper.c")->text());
   edited.Add("drivers/b/wrapper.c",
@@ -150,8 +151,153 @@ TEST_F(CacheTest, DiscoveryChangeInvalidatesEveryReportShard) {
   const ScanResult uncached = ScanTree(edited, /*cache_dir=*/"");
   const ScanResult warm = ScanTree(edited, cache_dir_);
   ExpectSameReports(uncached, warm);
-  EXPECT_EQ(warm.stats.cache_hits, 0u);
-  EXPECT_EQ(warm.stats.cache_misses, edited.size());
+  EXPECT_GT(warm.stats.discovered_apis, ScanTree(SmallTree(), "").stats.discovered_apis);
+  EXPECT_EQ(warm.stats.cache_hits, edited.size() - 1);
+  EXPECT_EQ(warm.stats.cache_misses, 1u);
+  EXPECT_EQ(warm.stats.cache_parse_skips, edited.size() - 1);
+}
+
+// One cross-file KB-slice case: file A's edit moves a KB answer that file B
+// looks up. The bystanders are SmallTree()'s files.
+struct SliceCase {
+  const char* name;
+  std::vector<std::pair<std::string, std::string>> before;  // A and B
+  std::string a_after;                                        // A's new text
+  bool interprocedural = false;
+  std::vector<std::string> dialects;
+};
+
+// Primes the cache with the "before" tree, rescans after A's edit, and
+// checks that exactly A and B re-ran stage 3 — read off the report objects
+// the warm scan stored — and that the warm scan equals an uncached one.
+void ExpectOnlyAAndBRecheck(const std::string& cache_dir, const SliceCase& c) {
+  SCOPED_TRACE(c.name);
+  stdfs::remove_all(cache_dir);
+  SourceTree before = SmallTree();
+  for (const auto& [path, text] : c.before) {
+    before.Add(path, text);
+  }
+  SourceTree after = SmallTree();
+  for (const auto& [path, text] : c.before) {
+    after.Add(path, text);
+  }
+  const std::string a_path = c.before[0].first;
+  const std::string b_path = c.before[1].first;
+  after.Add(a_path, c.a_after);
+
+  ScanOptions options;
+  options.enabled_patterns = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  options.interprocedural = c.interprocedural;
+  options.dialects = c.dialects;
+  options.cache_dir = cache_dir;
+  CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(before);  // prime
+  const size_t primed_objects = ScanCache(cache_dir).ReadIndex().size();
+
+  const ScanResult warm = CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(after);
+  ScanOptions uncached = options;
+  uncached.cache_dir.clear();
+  const ScanResult cold = CheckerEngine(KnowledgeBase::BuiltIn(), uncached).Scan(after);
+  EXPECT_EQ(ScanResultToJson(cold, false), ScanResultToJson(warm, false));
+  EXPECT_EQ(warm.stats.cache_hits, after.size() - 2);
+  EXPECT_EQ(warm.stats.cache_misses, 2u);
+
+  std::set<std::string> rechecked;
+  const std::vector<ScanCache::IndexEntry> index = ScanCache(cache_dir).ReadIndex();
+  for (size_t i = primed_objects; i < index.size(); ++i) {
+    if (index[i].kind == "reports") {
+      rechecked.insert(index[i].source);
+    }
+  }
+  EXPECT_EQ(rechecked, (std::set<std::string>{a_path, b_path}));
+}
+
+TEST_F(CacheTest, DiscoveryEditRechecksExactlyTheFilesWhoseAnswersMoved) {
+  const std::string kCaller =
+      "static int attach_%s(struct device_node *np)\n"
+      "{\n"
+      "  %s(np);\n"
+      "  if (np == NULL)\n"
+      "    return -EINVAL;\n"
+      "  return 0;\n"
+      "}\n";
+  const auto caller = [&](const char* fn) {
+    std::string out = kCaller;
+    out.replace(out.find("%s"), 2, fn);
+    out.replace(out.find("%s"), 2, fn);
+    return out;
+  };
+  const std::vector<SliceCase> cases = {
+      {"wrapper newly defined in A that B already calls",
+       {{"drivers/x/a.c", "static int unrelated(void) { return 0; }\n"},
+        {"drivers/x/b.c", caller("new_grab")}},
+       "static void new_grab(struct device_node *np)\n{\n  of_node_get(np);\n}\n", false, {}},
+      {"smart-loop macro change",
+       {{"include/x/a.h",
+         "#define for_each_widget(dn) for (dn = widget_first(); dn; dn = widget_next(dn))\n"},
+        {"drivers/x/b.c",
+         "static int scan(struct device_node *np)\n"
+         "{\n"
+         "  for_each_widget(np) {\n"
+         "    if (np->flags)\n"
+         "      break;\n"
+         "  }\n"
+         "  return 0;\n"
+         "}\n"}},
+       "#define for_each_widget(dn) for (dn = of_find_node_by_name(NULL, \"w\"); dn; "
+       "dn = of_find_node_by_name(dn, \"w\"))\n", false, {}},
+      {"P10 refcount field discovered from a struct",
+       {{"include/x/a.h", "struct widget { int users; };\n"},
+        {"drivers/x/b.c",
+         "static void widget_bump(struct widget *w)\n{\n  w->users++;\n}\n"}},
+       "struct widget { refcount_t users; };\n", false, {}},
+      {"ownership sink",
+       {{"drivers/x/a.c",
+         "void stash(struct device_node *np)\n{\n  registry->node = NULL;\n}\n"},
+        {"drivers/x/b.c",
+         "static int keep(void)\n"
+         "{\n"
+         "  struct device_node *np = of_find_node_by_name(NULL, \"k\");\n"
+         "  stash(np);\n"
+         "  return 0;\n"
+         "}\n"}},
+       "void stash(struct device_node *np)\n{\n  registry->node = np;\n}\n", false, {}},
+      {"__-prefixed call",
+       {{"drivers/x/a.c", "static int unrelated(void) { return 0; }\n"},
+        {"drivers/x/b.c", caller("__my_hold")}},
+       "void my_hold(struct device_node *np)\n{\n  of_node_get(np);\n}\n", false, {}},
+      {"__-prefixed call that starts resolving to its own entry",
+       {{"drivers/x/a.c", "void my_hold(struct device_node *np)\n{\n  of_node_get(np);\n}\n"},
+        {"drivers/x/b.c", caller("__my_hold")}},
+       "void my_hold(struct device_node *np)\n{\n  of_node_get(np);\n}\n"
+       "void __my_hold(struct device_node *np)\n{\n  of_node_get(np);\n}\n",
+       false, {}},
+      {"--ipa helper whose summary changes",
+       {{"drivers/x/a.c", "int peek(struct device_node *np)\n{\n  return 0;\n}\n"},
+        {"drivers/x/b.c",
+         "static int drop(struct device_node *np)\n"
+         "{\n"
+         "  of_node_put(np);\n"
+         "  return peek(np);\n"
+         "}\n"}},
+       "int peek(struct device_node *np)\n{\n  return np->flags;\n}\n",
+       /*interprocedural=*/true, {}},
+      {"--dialect scan",
+       {{"drivers/x/a.c", "static int unrelated(void) { return 0; }\n"},
+        {"drivers/x/b.c",
+         "static int use(GObject *o)\n"
+         "{\n"
+         "  my_obj_ref(o);\n"
+         "  if (o == NULL)\n"
+         "    return -EINVAL;\n"
+         "  return 0;\n"
+         "}\n"}},
+       "GObject *my_obj_ref(GObject *o)\n{\n  return g_object_ref(o);\n}\n",
+       /*interprocedural=*/false,
+       {"glib"}},
+  };
+  for (const SliceCase& c : cases) {
+    ExpectOnlyAAndBRecheck(cache_dir_, c);
+  }
 }
 
 TEST_F(CacheTest, CorruptedAndTruncatedObjectsActAsCold) {
