@@ -20,14 +20,17 @@ namespace {
 // and dialect-free-function registries (P10-P12, DESIGN.md §5.12). v4: units
 // and report shards carry the quarantined-function list (DESIGN.md §5.15).
 // v5: DiscoveryFacts carries raw_fields, and report shards are keyed by the
-// file's KB-slice fingerprint instead of the whole-KB one.
-constexpr uint32_t kFormatVersion = 5;
+// file's KB-slice fingerprint instead of the whole-KB one. v6: .facts objects
+// lead with the digest of the file's serialized unit, and the tree-level
+// .ipa object holds the post-summary KB.
+constexpr uint32_t kFormatVersion = 6;
 constexpr char kMagic[4] = {'R', 'F', 'S', 'C'};
 
 constexpr uint8_t kKindFacts = 1;
 constexpr uint8_t kKindUnit = 2;
 constexpr uint8_t kKindReports = 3;
 constexpr uint8_t kKindKb = 4;
+constexpr uint8_t kKindIpa = 5;
 
 std::string HexU64(uint64_t v) {
   char buf[17];
@@ -467,6 +470,19 @@ CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
   return MakeFileKey("<kb-snapshot>", w.bytes(), options_fp);
 }
 
+CacheKey MakeIpaSnapshotKey(const CacheKey& kb_snapshot_key,
+                            const std::vector<Hash128>& unit_digests, uint64_t options_fp) {
+  ByteWriter w;
+  w.U64(kb_snapshot_key.hi);
+  w.U64(kb_snapshot_key.lo);
+  w.U32(static_cast<uint32_t>(unit_digests.size()));
+  for (const Hash128& d : unit_digests) {
+    w.U64(d.hi);
+    w.U64(d.lo);
+  }
+  return MakeFileKey("<ipa-snapshot>", w.bytes(), options_fp);
+}
+
 uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb) {
   ByteWriter w;
   w.U32(kFormatVersion);
@@ -586,11 +602,12 @@ std::optional<CachedFileReports> DeserializeReports(std::string_view bytes) {
   return shard;
 }
 
+namespace {
+
 // Field order mirrors FingerprintKnowledgeBase exactly: anything the
 // fingerprint observes, the snapshot round-trips, so a deserialized KB
 // fingerprints identically to the replayed one it was stored from.
-std::string SerializeKb(const KnowledgeBase& kb) {
-  ByteWriter w;
+void WriteKb(ByteWriter& w, const KnowledgeBase& kb) {
   w.U32(static_cast<uint32_t>(kb.apis().size()));
   for (const auto& [name, api] : kb.apis()) {
     w.Str(name);
@@ -627,6 +644,13 @@ std::string SerializeKb(const KnowledgeBase& kb) {
   for (const std::string& f : kb.extra_free_functions()) {
     w.Str(f);
   }
+}
+
+}  // namespace
+
+std::string SerializeKb(const KnowledgeBase& kb) {
+  ByteWriter w;
+  WriteKb(w, kb);
   return w.TakeBytes();
 }
 
@@ -725,7 +749,8 @@ std::string ObjectRelPath(const CacheKey& key, std::string_view suffix) {
 
 }  // namespace
 
-bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& payload) const {
+bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& blob,
+                           std::string_view& payload) const {
   if (!enabled()) {
     return false;
   }
@@ -739,7 +764,6 @@ bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& p
     corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  std::string blob;
   if (!store_->Get(name, blob)) {
     return false;
   }
@@ -764,7 +788,7 @@ bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& p
     corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  payload = blob.substr(kHeaderSize);
+  payload = std::string_view(blob).substr(kHeaderSize);
   if (HashBytes(payload) != payload_hash) {
     corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -772,17 +796,21 @@ bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& p
   return true;
 }
 
-void ScanCache::StoreObject(const std::string& name, uint8_t kind, std::string_view payload,
-                            std::string_view kind_name, std::string_view source) {
+Hash128 ScanCache::StoreObject(const std::string& name, uint8_t kind, std::string_view payload,
+                               std::string_view kind_name, std::string_view source) {
+  // One pass yields both the header checksum (the first stream is exactly
+  // HashBytes) and the payload digest StoreUnit hands out, whether or not
+  // the store then succeeds.
+  const Hash128 digest = HashBytesDual(payload);
   if (!enabled()) {
-    return;
+    return digest;
   }
   TelemetrySpan span("cache.store", name);
   // A failed store only costs the next scan a miss; never fail the scan.
   try {
     MaybeFault("cache.store", name);
   } catch (const FaultInjected&) {
-    return;
+    return digest;
   }
   ByteWriter w;
   for (const char c : kMagic) {
@@ -790,44 +818,62 @@ void ScanCache::StoreObject(const std::string& name, uint8_t kind, std::string_v
   }
   w.U32(kFormatVersion);
   w.U8(kind);
-  w.U64(HashBytes(payload));
+  w.U64(digest.hi);
   w.U32(static_cast<uint32_t>(payload.size()));
   std::string blob = w.TakeBytes();
   blob.append(payload);
   store_->Put(name, blob, kind_name, source);
+  return digest;
 }
 
-std::optional<DiscoveryFacts> ScanCache::LoadFacts(const CacheKey& key) const {
-  std::string payload;
-  if (!LoadObject(ObjectRelPath(key, ".facts"), kKindFacts, payload)) {
+// A .facts payload is the 16-byte unit digest followed by the facts.
+constexpr size_t kUnitDigestSize = 16;
+
+std::optional<DiscoveryFacts> ScanCache::LoadFacts(const CacheKey& key,
+                                                   Hash128* unit_digest) const {
+  std::string blob;
+  std::string_view payload;
+  if (!LoadObject(ObjectRelPath(key, ".facts"), kKindFacts, blob, payload) ||
+      payload.size() < kUnitDigestSize) {
     return std::nullopt;
   }
-  return DeserializeFacts(payload);
+  if (unit_digest != nullptr) {
+    ByteReader r(payload.substr(0, kUnitDigestSize));
+    unit_digest->hi = r.U64();
+    unit_digest->lo = r.U64();
+  }
+  return DeserializeFacts(payload.substr(kUnitDigestSize));
 }
 
 void ScanCache::StoreFacts(const CacheKey& key, const DiscoveryFacts& facts,
-                           std::string_view source) {
-  StoreObject(ObjectRelPath(key, ".facts"), kKindFacts, SerializeFacts(facts), "facts", source);
+                           std::string_view source, const Hash128& unit_digest) {
+  ByteWriter w;
+  w.U64(unit_digest.hi);
+  w.U64(unit_digest.lo);
+  WriteFacts(w, facts);
+  StoreObject(ObjectRelPath(key, ".facts"), kKindFacts, w.bytes(), "facts", source);
 }
 
 std::optional<TranslationUnit> ScanCache::LoadUnit(const CacheKey& key) const {
-  std::string payload;
-  if (!LoadObject(ObjectRelPath(key, ".unit"), kKindUnit, payload)) {
+  std::string blob;
+  std::string_view payload;
+  if (!LoadObject(ObjectRelPath(key, ".unit"), kKindUnit, blob, payload)) {
     return std::nullopt;
   }
   return DeserializeUnit(payload);
 }
 
-void ScanCache::StoreUnit(const CacheKey& key, const TranslationUnit& unit,
-                          std::string_view source) {
-  StoreObject(ObjectRelPath(key, ".unit"), kKindUnit, SerializeUnit(unit), "unit", source);
+Hash128 ScanCache::StoreUnit(const CacheKey& key, const TranslationUnit& unit,
+                             std::string_view source) {
+  return StoreObject(ObjectRelPath(key, ".unit"), kKindUnit, SerializeUnit(unit), "unit", source);
 }
 
 std::optional<CachedFileReports> ScanCache::LoadReports(const CacheKey& key,
                                                         uint64_t kb_fp) const {
-  std::string payload;
+  std::string blob;
+  std::string_view payload;
   const std::string name = ObjectRelPath(key, "-" + HexU64(kb_fp) + ".reports");
-  if (!LoadObject(name, kKindReports, payload)) {
+  if (!LoadObject(name, kKindReports, blob, payload)) {
     return std::nullopt;
   }
   return DeserializeReports(payload);
@@ -840,8 +886,9 @@ void ScanCache::StoreReports(const CacheKey& key, uint64_t kb_fp,
 }
 
 std::optional<KnowledgeBase> ScanCache::LoadKb(const CacheKey& key) const {
-  std::string payload;
-  if (!LoadObject(ObjectRelPath(key, ".kb"), kKindKb, payload)) {
+  std::string blob;
+  std::string_view payload;
+  if (!LoadObject(ObjectRelPath(key, ".kb"), kKindKb, blob, payload)) {
     return std::nullopt;
   }
   return DeserializeKb(payload);
@@ -849,6 +896,32 @@ std::optional<KnowledgeBase> ScanCache::LoadKb(const CacheKey& key) const {
 
 void ScanCache::StoreKb(const CacheKey& key, const KnowledgeBase& kb, std::string_view source) {
   StoreObject(ObjectRelPath(key, ".kb"), kKindKb, SerializeKb(kb), "kb", source);
+}
+
+// An .ipa payload is the summarized-function count followed by the KB in
+// the .kb layout.
+std::optional<IpaSnapshot> ScanCache::LoadIpa(const CacheKey& key) const {
+  std::string blob;
+  std::string_view payload;
+  if (!LoadObject(ObjectRelPath(key, ".ipa"), kKindIpa, blob, payload) || payload.size() < 8) {
+    return std::nullopt;
+  }
+  IpaSnapshot snapshot;
+  snapshot.summarized_functions = ByteReader(payload.substr(0, 8)).U64();
+  std::optional<KnowledgeBase> kb = DeserializeKb(payload.substr(8));
+  if (!kb) {
+    return std::nullopt;
+  }
+  snapshot.kb = std::move(*kb);
+  return snapshot;
+}
+
+void ScanCache::StoreIpa(const CacheKey& key, const KnowledgeBase& kb,
+                         uint64_t summarized_functions, std::string_view source) {
+  ByteWriter w;
+  w.U64(summarized_functions);
+  WriteKb(w, kb);
+  StoreObject(ObjectRelPath(key, ".ipa"), kKindIpa, w.bytes(), "ipa", source);
 }
 
 std::vector<ScanCache::IndexEntry> ScanCache::ReadIndex() const {

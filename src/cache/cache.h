@@ -6,13 +6,16 @@
 // object store under <dir>/objects/:
 //
 //   <key>.facts     the file's DiscoveryFacts (the KB-independent stage-2
-//                   projection, see src/kb) — replaces parsing on the warm
-//                   non-interprocedural path
-//   <key>.unit      the parsed TranslationUnit — replaces parsing on the
-//                   --ipa path, where stage 2.5 walks every unit
+//                   projection, see src/kb) — replaces parsing on every
+//                   warm path
+//   <key>.unit      the parsed TranslationUnit — replaces parsing on an
+//                   --ipa scan whose .ipa snapshot missed, where stage 2.5
+//                   walks every unit
 //   <key>-<slicefp>.reports   the raw stage-3 report shard + function count
 //
-// plus one tree-level artifact:
+// The .facts object also carries the 128-bit digest of the file's .unit
+// bytes, so a scan that never loads the unit still knows exactly which AST
+// it stands for. Plus two tree-level artifacts:
 //
 //   <key>.kb        the whole post-discovery KnowledgeBase, keyed by the
 //                   ordered per-file facts plus the pre-discovery KB
@@ -20,6 +23,12 @@
 //                   deterministic in that pair, so a snapshot hit replaces
 //                   both replay rounds (the warm-rescan bottleneck:
 //                   classifying ~1k discovered APIs from scratch)
+//   <key>.ipa       the whole post-summary KnowledgeBase of an --ipa scan
+//                   plus its summarized-function count, keyed by the .kb
+//                   key and the ordered unit digests — summaries are a pure
+//                   function of (post-discovery KB, ordered units, path
+//                   cap), so a hit replaces unit loading, discovery, the
+//                   call graph and every summary
 //
 // <key> is 128 bits of FNV-1a over (format version, file path, file
 // content, options fingerprint); <slicefp> additionally pins the
@@ -46,6 +55,7 @@
 #include <vector>
 
 #include "src/ast/ast.h"
+#include "src/cache/serial.h"
 #include "src/cache/store.h"
 #include "src/checkers/report.h"
 #include "src/kb/kb.h"
@@ -76,6 +86,16 @@ CacheKey MakeFileKey(std::string_view path, std::string_view content, uint64_t o
 CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
                            const std::vector<const DiscoveryFacts*>& facts, uint64_t options_fp);
 
+// Key for the tree-level IPA snapshot. The post-summary KB is a pure
+// function of (post-discovery KB, ordered healthy units,
+// max_paths_per_function): `kb_snapshot_key` pins the first, the per-file
+// digests of the exact SerializeUnit bytes pin the second, and the options
+// fingerprint (ScanOptionsFingerprint covers max_paths_per_function) the
+// third. A comment-only edit leaves both the facts and the unit bytes
+// unchanged, so it still hits; a body edit moves that file's digest.
+CacheKey MakeIpaSnapshotKey(const CacheKey& kb_snapshot_key,
+                            const std::vector<Hash128>& unit_digests, uint64_t options_fp);
+
 // Deterministic digest of the entire knowledge base (APIs with all flags,
 // smartloops, refcounted structs, ownership sinks, param-deref facts) in
 // map order. It pins the pre-discovery KB in the snapshot key, and keys
@@ -102,6 +122,13 @@ struct CachedFileReports {
   std::vector<DegradedFunction> degraded;
 };
 
+// One --ipa scan's stage-2.5 output: the KB the checkers read, and how many
+// functions the summary stage summarized (ScanStats::summarized_functions).
+struct IpaSnapshot {
+  KnowledgeBase kb;
+  uint64_t summarized_functions = 0;
+};
+
 class ScanCache {
  public:
   // An empty `dir` constructs a disabled cache (every Load misses, every
@@ -119,11 +146,18 @@ class ScanCache {
   bool enabled() const { return store_ != nullptr; }
   const std::string& dir() const { return dir_; }
 
-  std::optional<DiscoveryFacts> LoadFacts(const CacheKey& key) const;
-  void StoreFacts(const CacheKey& key, const DiscoveryFacts& facts, std::string_view source);
+  // The .facts object carries the digest StoreUnit returned for the same
+  // parse; `unit_digest`, when non-null, receives it on a hit.
+  std::optional<DiscoveryFacts> LoadFacts(const CacheKey& key,
+                                          Hash128* unit_digest = nullptr) const;
+  void StoreFacts(const CacheKey& key, const DiscoveryFacts& facts, std::string_view source,
+                  const Hash128& unit_digest = {});
 
+  // StoreUnit returns the digest (HashBytesDual) of the serialized unit —
+  // the same pass over the stored bytes that checksums them, taken even
+  // when the store fails.
   std::optional<TranslationUnit> LoadUnit(const CacheKey& key) const;
-  void StoreUnit(const CacheKey& key, const TranslationUnit& unit, std::string_view source);
+  Hash128 StoreUnit(const CacheKey& key, const TranslationUnit& unit, std::string_view source);
 
   std::optional<CachedFileReports> LoadReports(const CacheKey& key, uint64_t kb_fp) const;
   void StoreReports(const CacheKey& key, uint64_t kb_fp, const CachedFileReports& reports,
@@ -131,6 +165,10 @@ class ScanCache {
 
   std::optional<KnowledgeBase> LoadKb(const CacheKey& key) const;
   void StoreKb(const CacheKey& key, const KnowledgeBase& kb, std::string_view source);
+
+  std::optional<IpaSnapshot> LoadIpa(const CacheKey& key) const;
+  void StoreIpa(const CacheKey& key, const KnowledgeBase& kb, uint64_t summarized_functions,
+                std::string_view source);
 
   // Objects that existed on disk but failed validation (bad magic/version/
   // kind byte, truncation, checksum mismatch) or whose read failed at the
@@ -146,9 +184,12 @@ class ScanCache {
   std::vector<IndexEntry> ReadIndex() const;
 
  private:
-  bool LoadObject(const std::string& name, uint8_t kind, std::string& payload) const;
-  void StoreObject(const std::string& name, uint8_t kind, std::string_view payload,
-                   std::string_view kind_name, std::string_view source);
+  // On success `payload` views the validated payload inside `blob`.
+  bool LoadObject(const std::string& name, uint8_t kind, std::string& blob,
+                  std::string_view& payload) const;
+  // Returns HashBytesDual(payload); its `hi` half is the header checksum.
+  Hash128 StoreObject(const std::string& name, uint8_t kind, std::string_view payload,
+                      std::string_view kind_name, std::string_view source);
 
   std::string dir_;
   std::shared_ptr<ObjectStore> store_;

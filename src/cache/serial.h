@@ -27,6 +27,8 @@ uint64_t HashBytes(std::string_view data, uint64_t seed = 0xcbf29ce484222325ull)
 struct Hash128 {
   uint64_t hi = 0;
   uint64_t lo = 0;
+
+  bool operator==(const Hash128&) const = default;
 };
 Hash128 HashBytesDual(std::string_view data);
 

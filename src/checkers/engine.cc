@@ -98,6 +98,7 @@ struct ScanMetrics {
   MetricCounter& cache_parse_skips = reg.Counter("scan.cache_parse_skips");
   MetricCounter& cache_corrupt = reg.Counter("scan.cache_corrupt");
   MetricCounter& kb_snapshot_hits = reg.Counter("scan.kb_snapshot_hits");
+  MetricCounter& ipa_snapshot_hits = reg.Counter("scan.ipa_snapshot_hits");
   MetricCounter& raw_reports = reg.Counter("scan.raw_reports");
   MetricCounter& reports = reg.Counter("scan.reports");
 };
@@ -202,9 +203,16 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
   };
 
   ScanCache cache(MakeScanStore(options_));
-  const ScanStageContext ctx = MakeScanStageContext(options_, cache);
+  ScanStageContext ctx = MakeScanStageContext(options_, cache);
   const bool use_cache = ctx.use_cache;
   const bool want_facts = ctx.want_facts;
+  // Facts first: an --ipa scan with the cache runs stage 1 for facts only,
+  // like the plain warm path, because a hit on its .ipa snapshot leaves no
+  // unit to walk. Units are loaded after the probe, and only on a miss.
+  const bool ipa_snapshot = options_.interprocedural && use_cache && want_facts;
+  if (ipa_snapshot) {
+    ctx.need_units = false;
+  }
 
   // Stage 1: obtain per-file discovery facts — and units where needed —
   // (parallel; each file is independent). The per-file body lives in
@@ -248,8 +256,13 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
       }
     }
   };
-
-  if (const size_t failed = count_failed(); breaker_trips(failed)) {
+  // Checked after stage 1 and again after the --ipa units pass, whose
+  // quarantines are parse-stage failures too.
+  const auto parse_breaker_trips = [&] {
+    const size_t failed = count_failed();
+    if (!breaker_trips(failed)) {
+      return false;
+    }
     result.aborted = true;
     result.abort_reason =
         StrFormat("%zu of %zu files failed in the parse stage (max_failure_ratio %.2f)", failed,
@@ -257,7 +270,100 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
     m.files.Add(files.size());
     collect_failures();
     finalize_stats();
+    return true;
+  };
+  if (parse_breaker_trips()) {
     return result;
+  }
+
+  // The tree-level snapshot keys hash the healthy files only, in file
+  // order: quarantined files are excluded from discovery, summaries and
+  // both keys, so the KB — and therefore every healthy file's report
+  // shard — is exactly what a scan of the healthy subset alone would build.
+  const auto kb_snapshot_key = [&] {
+    std::vector<const DiscoveryFacts*> all_facts;
+    all_facts.reserve(states.size());
+    for (const FileScanState& st : states) {
+      if (!st.failure) {
+        all_facts.push_back(&st.facts);
+      }
+    }
+    return MakeKbSnapshotKey(FingerprintKnowledgeBase(kb_), options_.nesting_threshold, all_facts,
+                             ctx.options_fp);
+  };
+  const auto ipa_snapshot_key = [&](const CacheKey& kb_key) {
+    std::vector<Hash128> digests;
+    digests.reserve(states.size());
+    for (const FileScanState& st : states) {
+      if (!st.failure) {
+        digests.push_back(st.unit_digest);
+      }
+    }
+    return MakeIpaSnapshotKey(kb_key, digests, ctx.options_fp);
+  };
+  CacheKey kb_key;
+  if (use_cache && want_facts) {
+    kb_key = kb_snapshot_key();
+  }
+
+  // Stage 2.5, part one. A summary-stage failure degrades the whole scan
+  // (path "<tree>") but does not abort it: the checkers still run with the
+  // intraprocedural KB, exactly as if --ipa had been off. The fault hook
+  // fires before the snapshot probe and before ComputeSummaries, so an
+  // injected failure can never leave the KB with a partial set of
+  // registered summaries, and a failed stage stores no snapshot.
+  std::vector<FileFailure> tree_failures;
+  const auto fail_summaries = [&](const char* what) {
+    FileFailure f;
+    f.path = "<tree>";
+    f.stage = FailureStage::kSummarize;
+    f.kind = FailureKind::kInternal;
+    f.what = what;
+    tree_failures.push_back(std::move(f));
+  };
+  bool summarize = options_.interprocedural;
+  if (summarize) {
+    try {
+      MaybeFault("ipa.summarize", "<tree>");
+    } catch (const std::exception& e) {
+      fail_summaries(e.what());
+      summarize = false;
+    }
+  }
+  // The .ipa snapshot: the post-summary KB is a pure, jobs-invariant
+  // function of (post-discovery KB, ordered healthy units,
+  // max_paths_per_function). The .kb key pins the first, each file's unit
+  // digest the second, the options fingerprint the third. A hit replaces
+  // unit loading, both discovery rounds, the call graph and every summary.
+  bool kb_final = false;  // kb_ already is the KB the checkers read
+  CacheKey ipa_key;
+  if (summarize && ipa_snapshot) {
+    TelemetrySpan stage_span("stage.ipa_snapshot");
+    ipa_key = ipa_snapshot_key(kb_key);
+    if (std::optional<IpaSnapshot> snapshot = cache.LoadIpa(ipa_key)) {
+      kb_ = std::move(snapshot->kb);
+      m.summarized_functions.Add(snapshot->summarized_functions);
+      m.ipa_snapshot_hits.Add(1);
+      kb_final = true;
+    }
+  }
+  if (summarize && ipa_snapshot && !kb_final) {
+    // A miss walks every healthy unit: load (or parse) the ones stage 1
+    // served from facts alone, before discovery, so a file that fails to
+    // parse now drops out of discovery as a stage-1 quarantine would.
+    const size_t failed_before = count_failed();
+    {
+      TelemetrySpan stage_span("stage.units");
+      ParallelFor(pool, 0, files.size(),
+                  [&](size_t i) { RunUnitStage(*files[i], states[i], ctx); });
+    }
+    if (count_failed() != failed_before) {
+      if (parse_breaker_trips()) {
+        return result;
+      }
+      kb_key = kb_snapshot_key();
+    }
+    ipa_key = ipa_snapshot_key(kb_key);
   }
 
   // Stage 2: feed the KB (structure parser, API and smartloop discovery).
@@ -269,7 +375,7 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
   // results. It is also cheap next to parsing and checking. Replaying the
   // pre-extracted facts in file order is exactly DiscoverFromUnit in file
   // order (see kb.h), whether the facts came from a parse or the cache.
-  if (want_facts) {
+  if (want_facts && !kb_final) {
     TelemetrySpan stage_span("stage.discover");
     // With the cache on, try the tree-level KB snapshot first. Discovery
     // is purely additive — every Discover* pass only inserts, and every
@@ -278,22 +384,8 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
     // ordered facts, which is exactly what the snapshot key hashes. A hit
     // replaces both replay rounds, which otherwise dominate a warm rescan
     // (re-classifying every discovered API from scratch each run).
-    // Quarantined files are excluded from both the replay and the snapshot
-    // key: the KB — and therefore every healthy file's report shard — is
-    // exactly what a scan of the healthy subset alone would build.
     bool kb_from_snapshot = false;
-    CacheKey kb_key;
     if (use_cache) {
-      std::vector<const DiscoveryFacts*> all_facts;
-      all_facts.reserve(states.size());
-      for (const FileScanState& st : states) {
-        if (st.failure) {
-          continue;
-        }
-        all_facts.push_back(&st.facts);
-      }
-      kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb_), options_.nesting_threshold,
-                                 all_facts, ctx.options_fp);
       if (std::optional<KnowledgeBase> snapshot = cache.LoadKb(kb_key)) {
         kb_ = std::move(*snapshot);
         kb_from_snapshot = true;
@@ -301,57 +393,29 @@ std::optional<ScanResult> CheckerEngine::RunPipeline(const SourceTree& tree,
       }
     }
     if (!kb_from_snapshot) {
-      // Two discovery rounds: the first classifies directly-visible APIs,
-      // the second lets wrappers of discovered APIs classify too.
-      for (int round = 0; round < 2; ++round) {
-        for (const FileScanState& st : states) {
-          if (st.failure) {
-            continue;
-          }
-          kb_.DiscoverFromFacts(st.facts, options_.nesting_threshold);
-        }
-      }
+      ReplayDiscovery(states);
       if (use_cache) {
         cache.StoreKb(kb_key, kb_, "<tree>");
       }
     }
   }
-  // Stage 2.5: interprocedural ref-delta summaries (src/ipa). Bottom-up
-  // over the call-graph SCCs, parallel within a level; registration into
-  // the still-mutable KB is serial in call-graph node order, so the KB the
-  // checkers read is identical at every `jobs` value. After this the KB
-  // freezes, exactly as without summaries. Summaries are always recomputed
-  // (they are whole-tree), but the units they walk come from cached parses
-  // on a warm rescan.
-  std::vector<FileFailure> tree_failures;
-  if (options_.interprocedural) {
-    // A summary-stage failure degrades the whole scan (path "<tree>") but
-    // does not abort it: the checkers still run with the intraprocedural KB,
-    // exactly as if --ipa had been off. The fault hook fires before
-    // ComputeSummaries so an injected failure can never leave the KB with a
-    // partial set of registered summaries.
+  // Stage 2.5, part two: interprocedural ref-delta summaries (src/ipa).
+  // Bottom-up over the call-graph SCCs, parallel within a level;
+  // registration into the still-mutable KB is serial in call-graph node
+  // order, so the KB the checkers read is identical at every `jobs` value.
+  // After this the KB freezes, exactly as without summaries. With the cache
+  // on, the result is stored as the .ipa snapshot a later scan of the same
+  // units probes for above.
+  if (summarize && !kb_final) {
     TelemetrySpan stage_span("stage.summarize");
     try {
-      MaybeFault("ipa.summarize", "<tree>");
-      std::vector<const TranslationUnit*> unit_ptrs;
-      unit_ptrs.reserve(states.size());
-      for (const FileScanState& st : states) {
-        if (st.failure) {
-          continue;
-        }
-        unit_ptrs.push_back(&*st.unit);
-      }
-      SummaryOptions sopts;
-      sopts.max_paths_per_function = options_.max_paths_per_function;
-      const SummaryResult summaries = ComputeSummaries(unit_ptrs, kb_, sopts, pool);
+      const SummaryResult summaries = SummarizeUnits(states, pool);
       m.summarized_functions.Add(summaries.summaries.size());
+      if (ipa_snapshot) {
+        cache.StoreIpa(ipa_key, kb_, summaries.summaries.size(), "<tree>");
+      }
     } catch (const std::exception& e) {
-      FileFailure f;
-      f.path = "<tree>";
-      f.stage = FailureStage::kSummarize;
-      f.kind = FailureKind::kInternal;
-      f.what = e.what();
-      tree_failures.push_back(std::move(f));
+      fail_summaries(e.what());
     }
   }
 
@@ -469,6 +533,62 @@ ScanResult CheckerEngine::ScanFileText(std::string path, std::string text) {
   return Scan(tree);
 }
 
+void CheckerEngine::ReplayDiscovery(const std::vector<FileScanState>& states) {
+  // Two discovery rounds: the first classifies directly-visible APIs, the
+  // second lets wrappers of discovered APIs classify too.
+  for (int round = 0; round < 2; ++round) {
+    for (const FileScanState& st : states) {
+      if (!st.failure) {
+        kb_.DiscoverFromFacts(st.facts, options_.nesting_threshold);
+      }
+    }
+  }
+}
+
+SummaryResult CheckerEngine::SummarizeUnits(const std::vector<FileScanState>& states,
+                                            ThreadPool& pool) {
+  std::vector<const TranslationUnit*> unit_ptrs;
+  unit_ptrs.reserve(states.size());
+  for (const FileScanState& st : states) {
+    if (!st.failure) {
+      unit_ptrs.push_back(&*st.unit);
+    }
+  }
+  SummaryOptions sopts;
+  sopts.max_paths_per_function = options_.max_paths_per_function;
+  return ComputeSummaries(unit_ptrs, kb_, sopts, pool);
+}
+
+std::string CheckerEngine::Summarize(const SourceTree& tree,
+                                     std::string (*render)(const SummaryResult&),
+                                     std::vector<FileFailure>* failures) {
+  std::vector<const SourceFile*> files;
+  files.reserve(tree.size());
+  for (const auto& [path, file] : tree.files()) {
+    files.push_back(&file);
+  }
+  // Stage 1 with no cache and every unit resident, as an --ipa scan
+  // without a cache runs it.
+  ScanCache no_cache(std::shared_ptr<ObjectStore>{});
+  ScanStageContext ctx = MakeScanStageContext(options_, no_cache);
+  ctx.need_units = true;
+  ctx.stream_units = false;
+  ThreadPool pool(options_.jobs);
+  std::vector<FileScanState> states = ParallelMap(
+      pool, files.size(), [&](size_t i) { return RunParseStage(*files[i], ctx); });
+  if (failures != nullptr) {
+    for (const FileScanState& st : states) {
+      if (st.failure) {
+        failures->push_back(*st.failure);
+      }
+    }
+  }
+  if (ctx.want_facts) {
+    ReplayDiscovery(states);
+  }
+  return render(SummarizeUnits(states, pool));
+}
+
 uint64_t ScanOptionsFingerprint(const ScanOptions& options) {
   ByteWriter w;
   w.U64(options.max_paths_per_function);
@@ -492,6 +612,12 @@ uint64_t ScanOptionsFingerprint(const ScanOptions& options) {
   for (const std::string& dialect : options.dialects) {
     w.Str(dialect);
   }
+  // `interprocedural` is deliberately excluded too: it changes only the
+  // KB, never a facts or unit object, so plain and --ipa scans share those;
+  // report shards are keyed on the file's KB slice (which sees every
+  // summary), and the .ipa snapshot is probed only by --ipa scans.
+  // `max_paths_per_function` above also caps the summary stage, so it
+  // reaches the .ipa key through this fingerprint.
   // `streaming` is deliberately excluded, like `jobs`: it changes the unit
   // lifecycle, never any artifact, so streaming and resident scans share
   // one warm cache.
@@ -517,6 +643,7 @@ const std::vector<ScanStatsField>& ScanStatsFields() {
       {"cache_parse_skips", "scan.cache_parse_skips", &ScanStats::cache_parse_skips},
       {"cache_corrupt", "scan.cache_corrupt", &ScanStats::cache_corrupt},
       {"kb_snapshot_hits", "scan.kb_snapshot_hits", &ScanStats::kb_snapshot_hits},
+      {"ipa_snapshot_hits", "scan.ipa_snapshot_hits", &ScanStats::ipa_snapshot_hits},
   };
   return *fields;
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -36,6 +37,7 @@ namespace refscan {
 class ObjectStore;        // src/cache/store.h
 class ScanStageExecutor;  // src/checkers/scan_stages.h
 struct FileScanState;     // src/checkers/scan_stages.h
+struct SummaryResult;     // src/ipa/summary.h
 class ThreadPool;         // src/support/threadpool.h
 
 struct ScanOptions {
@@ -259,6 +261,7 @@ struct ScanStats {
   size_t cache_parse_skips = 0;  // files never parsed this scan (facts/unit/reports cached)
   size_t cache_corrupt = 0;      // objects that existed but failed validation (→ miss)
   size_t kb_snapshot_hits = 0;   // 1 when the tree-level KB snapshot replaced discovery
+  size_t ipa_snapshot_hits = 0;  // 1 when the --ipa snapshot replaced discovery + summaries
 };
 
 // One ScanStats field: binds the struct member to its `--json` stats key
@@ -344,6 +347,17 @@ class CheckerEngine {
   // Scans a single in-memory file (tests / quickstart example).
   ScanResult ScanFileText(std::string path, std::string text);
 
+  // The front half of an --ipa scan, for `refscan summaries` and the serve
+  // summaries request: stage 1 (sandboxed parse), stage 2 and stage 2.5
+  // exactly as Scan runs them with no cache — the KB seeded with the
+  // options' dialects, discovery at its nesting threshold, summaries under
+  // its path cap — rendered by `render` (SummariesToJson / SummariesToText)
+  // while the units the call graph points into are still alive. Files stage
+  // 1 quarantines go to `failures` (when non-null) and stay out of
+  // discovery and summaries. Like Scan, it grows the engine's KB.
+  std::string Summarize(const SourceTree& tree, std::string (*render)(const SummaryResult&),
+                        std::vector<FileFailure>* failures = nullptr);
+
   const KnowledgeBase& kb() const { return kb_; }
 
  private:
@@ -353,6 +367,13 @@ class CheckerEngine {
                                         const std::vector<const SourceFile*>& files,
                                         ScanStageExecutor& executor, ThreadPool& pool,
                                         std::vector<FileScanState>& states);
+
+  // Stage 2 without a snapshot: both discovery rounds over the healthy
+  // files' facts, in file order.
+  void ReplayDiscovery(const std::vector<FileScanState>& states);
+
+  // Stage 2.5 over the healthy files' units (every one must be resident).
+  SummaryResult SummarizeUnits(const std::vector<FileScanState>& states, ThreadPool& pool);
 
   KnowledgeBase kb_;
   ScanOptions options_;

@@ -244,6 +244,7 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
       [&] {
         st.key = CacheKey{};
         st.facts = DiscoveryFacts{};
+        st.unit_digest = Hash128{};
         st.unit.reset();
         st.parsed = false;
         if (options.max_file_bytes > 0 && f.text().size() > options.max_file_bytes) {
@@ -256,7 +257,7 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
             if (!ctx.want_facts) {
               return;  // discovery off: nothing is needed before stage 3
             }
-            if (std::optional<DiscoveryFacts> facts = cache.LoadFacts(st.key)) {
+            if (std::optional<DiscoveryFacts> facts = cache.LoadFacts(st.key, &st.unit_digest)) {
               st.facts = std::move(*facts);
               return;
             }
@@ -274,9 +275,9 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
           st.facts = ExtractDiscoveryFacts(*st.unit);
         }
         if (ctx.use_cache) {
-          cache.StoreUnit(st.key, *st.unit, f.path());
+          st.unit_digest = cache.StoreUnit(st.key, *st.unit, f.path());
           if (ctx.want_facts) {
-            cache.StoreFacts(st.key, st.facts, f.path());
+            cache.StoreFacts(st.key, st.facts, f.path(), st.unit_digest);
           }
         }
         if (ctx.stream_units) {
@@ -293,10 +294,39 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
     // simply is not there — this is what makes the healthy-subset
     // byte-identity guarantee hold.
     st.facts = DiscoveryFacts{};
+    st.unit_digest = Hash128{};
     st.unit.reset();
     st.parsed = false;
   }
   return st;
+}
+
+void RunUnitStage(const SourceFile& f, FileScanState& st, const ScanStageContext& ctx) {
+  if (st.failure || st.unit.has_value()) {
+    return;
+  }
+  ScanCache& cache = *ctx.cache;
+  TelemetrySpan file_span("file.unit", f.path());
+  const bool stage_retry_ok = true;  // loading or parsing again is idempotent
+  const bool ok = GuardFileStage(
+      f.path(), FailureStage::kParse, ctx.options->file_timeout_ms, stage_retry_ok,
+      [&] {
+        st.unit.reset();
+        if (std::optional<TranslationUnit> unit = cache.LoadUnit(st.key)) {
+          st.unit = std::move(*unit);
+          return;
+        }
+        st.unit = ParseFile(f, ctx.popts);
+        st.parsed = true;
+        st.unit_digest = cache.StoreUnit(st.key, *st.unit, f.path());
+      },
+      st.failure, st.retried);
+  if (!ok) {
+    st.facts = DiscoveryFacts{};
+    st.unit_digest = Hash128{};
+    st.unit.reset();
+    st.parsed = false;
+  }
 }
 
 FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,

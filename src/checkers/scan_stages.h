@@ -44,6 +44,11 @@ struct FileShard {
 struct FileScanState {
   CacheKey key;
   DiscoveryFacts facts;
+  // Digest of the file's serialized unit (ScanCache::StoreUnit), from this
+  // scan's parse or from the cached facts. It keys the .ipa snapshot only,
+  // so it stays zero where no --ipa scan reads it: with the cache off, and
+  // in the states a --workers fleet ships back.
+  Hash128 unit_digest;
   std::optional<TranslationUnit> unit;
   bool parsed = false;      // ParseFile ran for this file during this scan
   bool report_hit = false;  // stage-3 shard spliced from the cache
@@ -83,7 +88,10 @@ struct ScanStageContext {
   // no cache, stage 3 consumes the units; in interprocedural mode, stage
   // 2.5 walks them. With the cache and neither, a file whose facts (and
   // later, reports) hit can go through the whole scan without ever being
-  // parsed — the incremental fast path.
+  // parsed — the incremental fast path. CheckerEngine clears it for an
+  // --ipa scan with the cache and discovery on: that scan runs stage 1 for
+  // facts only, probes the .ipa snapshot, and loads units (RunUnitStage)
+  // only when the probe misses.
   bool need_units = false;
   // Streaming unit lifecycle (ScanOptions::streaming, DESIGN.md §5.15):
   // stage 1 still parses where it must (facts, cache fill) but drops the
@@ -101,6 +109,13 @@ ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cac
 // comes back with `failure` set and all partial state discarded, so the KB
 // replay and stage 3 see a file that simply is not there.
 FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx);
+
+// The units pass of an --ipa scan whose snapshot missed, for one file that
+// stage 1 served from cached facts alone: load its .unit, or parse (and
+// store) it, inside the same stage-1 sandbox. A file already holding a
+// unit, or quarantined, is left alone; a new quarantine discards the
+// file's facts too, so it drops out of discovery like a stage-1 failure.
+void RunUnitStage(const SourceFile& file, FileScanState& st, const ScanStageContext& ctx);
 
 // Stage 3 for one file: splice the cached report shard when its key proves
 // it valid, otherwise build contexts and run the enabled checkers. The key

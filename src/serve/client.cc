@@ -5,12 +5,16 @@
 #include <thread>
 
 #include "src/serve/protocol.h"
+#include "src/support/telemetry.h"
 
 namespace refscan {
 
 std::optional<ScanResult> RemoteScan(const SourceTree& tree, const ScanOptions& options,
                                      const std::string& socket_path,
                                      const BackoffPolicy& backoff, std::string* note) {
+  // The whole round trip, retries included: in a `--remote` client this is
+  // where the wall time goes, and no other stage.* span covers it.
+  TelemetrySpan span("stage.remote");
   const std::string request = EncodeScanRequest(tree, options);
   const int attempts = std::max(backoff.attempts, 1);
   std::string last_error = "connect failed";

@@ -27,7 +27,8 @@ namespace refscan {
 
 // Runs one scan against the server. nullopt = unreachable after the whole
 // backoff budget (caller falls back to a local scan; `note`, when non-null,
-// says why). kServeBusy replies consume retry attempts with backoff.
+// says why). kServeBusy replies consume retry attempts with backoff. The
+// round trip, retries included, is one `stage.remote` telemetry span.
 std::optional<ScanResult> RemoteScan(const SourceTree& tree, const ScanOptions& options,
                                      const std::string& socket_path,
                                      const BackoffPolicy& backoff = {},

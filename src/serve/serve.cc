@@ -5,12 +5,10 @@
 
 #include <algorithm>
 
-#include "src/ast/parser.h"
 #include "src/ipa/summary.h"
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
-#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -268,19 +266,13 @@ void ScanServer::ServeConn(OwnedFd conn) {
   conns_.Remove(conn.get());
 }
 
-std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
-  SourceTree tree;
-  ScanOptions options;
-  if (!DecodeScanRequest(payload, tree, options)) {
-    type = kServeErr;
-    return "malformed scan request";
-  }
-  // Sanitize: requests scan against the resident store, never a path or
-  // socket of the client's choosing, and a client fault spec must not arm
-  // sites in the server process beyond its own request... which is exactly
-  // what ScanOptions::fault_spec would do (ScopedFaultArm is process-global
-  // for the scan's duration). Strip it: fault injection into the server is
-  // the server operator's knob (REFSCAN_FAULTS / serve.* sites).
+void ScanServer::SanitizeRequestOptions(ScanOptions& options) const {
+  // Requests scan against the resident store, never a path or socket of
+  // the client's choosing, and a client fault spec must not arm sites in
+  // the server process beyond its own request... which is exactly what
+  // ScanOptions::fault_spec would do (ScopedFaultArm is process-global for
+  // the scan's duration). Strip it: fault injection into the server is the
+  // server operator's knob (REFSCAN_FAULTS / serve.* sites).
   options.object_store = store_;
   options.cache_dir.clear();
   options.cache_server.clear();
@@ -290,6 +282,16 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
                                   ? config_.request_timeout_ms
                                   : std::min(options.file_timeout_ms, config_.request_timeout_ms);
   }
+}
+
+std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
+  SourceTree tree;
+  ScanOptions options;
+  if (!DecodeScanRequest(payload, tree, options)) {
+    type = kServeErr;
+    return "malformed scan request";
+  }
+  SanitizeRequestOptions(options);
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   const ScanResult result = engine.Scan(tree);
   scans_.fetch_add(1, std::memory_order_relaxed);
@@ -333,29 +335,12 @@ std::string ScanServer::HandleSummaries(std::string_view payload, uint8_t& type)
     type = kServeErr;
     return "malformed summaries request";
   }
-  // Same front half as `refscan summaries`: parse, two discovery rounds,
-  // then the bottom-up summary computation, rendered as JSON.
-  std::vector<const SourceFile*> files;
-  for (const auto& [path, file] : tree.files()) {
-    files.push_back(&file);
-  }
-  ThreadPool pool(options.jobs);
-  const std::vector<TranslationUnit> units =
-      ParallelMap(pool, files.size(), [&](size_t i) { return ParseFile(*files[i]); });
-  KnowledgeBase kb = KnowledgeBase::BuiltIn();
-  for (int round = 0; round < 2; ++round) {
-    for (const TranslationUnit& unit : units) {
-      kb.DiscoverFromUnit(unit);
-    }
-  }
-  std::vector<const TranslationUnit*> unit_ptrs;
-  unit_ptrs.reserve(units.size());
-  for (const TranslationUnit& unit : units) {
-    unit_ptrs.push_back(&unit);
-  }
-  const SummaryResult result = ComputeSummaries(unit_ptrs, kb, SummaryOptions{}, pool);
+  // Same front half as `refscan summaries`: the request's dialects,
+  // discovery and path cap, exactly as an --ipa scan applies them.
+  SanitizeRequestOptions(options);
+  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   type = kServeText;
-  return SummariesToJson(result);
+  return engine.Summarize(tree, SummariesToJson);
 }
 
 }  // namespace refscan

@@ -113,6 +113,10 @@ class ScanServer {
   void ReleaseSession();
   void Reply(ReplyState& rs, uint8_t type, const std::string& payload);
 
+  // Points a decoded request at the resident store and strips what a
+  // tenant must not control (cache location, fault spec); folds the
+  // request deadline into the per-file one.
+  void SanitizeRequestOptions(ScanOptions& options) const;
   std::string HandleScan(std::string_view payload, uint8_t& type);
   std::string HandleStats() const;
   std::string HandleSummaries(std::string_view payload, uint8_t& type);

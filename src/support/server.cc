@@ -36,15 +36,36 @@ void ConnectionRegistry::JoinAll() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     threads.swap(threads_);
+    finished_.clear();
   }
   for (std::thread& t : threads) {
     t.join();
   }
 }
 
+std::vector<std::thread> ConnectionRegistry::TakeFinished() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::thread> done;
+  for (const std::thread::id id : finished_) {
+    const auto it = std::find_if(threads_.begin(), threads_.end(),
+                                 [id](const std::thread& t) { return t.get_id() == id; });
+    if (it != threads_.end()) {
+      done.push_back(std::move(*it));
+      threads_.erase(it);
+    }
+  }
+  finished_.clear();
+  return done;
+}
+
 size_t ConnectionRegistry::live_connections() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_;
+}
+
+size_t ConnectionRegistry::tracked_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return threads_.size();
 }
 
 bool DrainConnections(ConnectionRegistry& registry, uint32_t timeout_ms) {

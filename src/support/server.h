@@ -15,7 +15,10 @@
 //
 // ConnectionRegistry owns that bookkeeping: live fds, their threads, and a
 // condition variable counting active connection bodies so the drain wait is
-// a timed wait, not a thread join (std::thread cannot timed-join).
+// a timed wait, not a thread join (std::thread cannot timed-join). A thread
+// whose body has returned is joined at the next Launch: until it is joined
+// its stack stays mapped, so a daemon that kept every connection's thread
+// until shutdown grew by the touched stack of each request it served.
 //
 // Contract: Launch/Add are only called while the owner's accept loop runs;
 // the owner stops accepting before WaitIdle/JoinAll, so the thread list is
@@ -50,12 +53,16 @@ class ConnectionRegistry {
   // capture move-only OwnedFds, which std::function cannot hold.
   template <typename Body>
   void Launch(Body&& body) {
+    for (std::thread& t : TakeFinished()) {
+      t.join();  // its body has returned: this only reclaims the stack
+    }
     std::lock_guard<std::mutex> lock(mu_);
     ++active_;
     threads_.emplace_back([this, body = std::forward<Body>(body)]() mutable {
       body();
       std::lock_guard<std::mutex> done(mu_);
       --active_;
+      finished_.push_back(std::this_thread::get_id());
       idle_cv_.notify_all();
     });
   }
@@ -74,11 +81,18 @@ class ConnectionRegistry {
 
   size_t live_connections() const;
 
+  // Threads launched and not yet joined (finished ones included).
+  size_t tracked_threads() const;
+
  private:
+  // Removes and returns the threads whose bodies have returned.
+  std::vector<std::thread> TakeFinished();
+
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   std::vector<int> fds_;
   std::vector<std::thread> threads_;
+  std::vector<std::thread::id> finished_;  // bodies returned, not yet joined
   size_t active_ = 0;
 };
 

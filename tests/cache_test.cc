@@ -25,6 +25,7 @@
 #include "src/corpus/generator.h"
 #include "src/cpg/dump.h"
 #include "src/kb/kb.h"
+#include "tests/ipa_snapshot_cases.h"
 
 namespace refscan {
 namespace {
@@ -430,18 +431,33 @@ TEST_F(CacheTest, InterproceduralScanSharesTheCacheCorrectly) {
   ExpectSameReports(uncached, cold);
   EXPECT_EQ(cold.stats.summarized_functions, uncached.stats.summarized_functions);
 
-  // Warm --ipa rescan: summaries recompute (they are whole-tree) but every
-  // parse comes from the cache and every report shard splices.
+  // Warm --ipa rescan: the .ipa snapshot replaces discovery and every
+  // summary, no file is parsed and every report shard splices.
   const ScanResult warm = ScanTree(tree, cache_dir_, 1, true);
   ExpectSameReports(uncached, warm);
   EXPECT_EQ(warm.stats.cache_hits, tree.size());
   EXPECT_EQ(warm.stats.cache_parse_skips, tree.size());
   EXPECT_EQ(warm.stats.summarized_functions, uncached.stats.summarized_functions);
+  EXPECT_EQ(warm.stats.ipa_snapshot_hits, 1u);
 
   // A plain scan after an --ipa scan still hits the parse cache (shared
   // options fingerprint) and computes its own (different-KB) reports.
   const ScanResult plain = ScanTree(tree, cache_dir_, 1, false);
   ExpectSameReports(ScanTree(tree, /*cache_dir=*/"", 1, false), plain);
+}
+
+TEST_F(CacheTest, IpaSnapshotWarmScansEqualColdAtEveryJobs) {
+  for (const size_t jobs : {size_t{1}, size_t{4}}) {
+    stdfs::remove_all(cache_dir_);
+    ipa_snapshot_cases::Backend backend;
+    backend.store = std::make_shared<LocalStore>(cache_dir_);
+    backend.scan = [&](const SourceTree& tree, const ScanOptions& options) {
+      ScanOptions local = options;
+      local.cache_dir = cache_dir_;
+      return CheckerEngine(KnowledgeBase::BuiltIn(), local).Scan(tree);
+    };
+    ipa_snapshot_cases::RunAll(backend, jobs);
+  }
 }
 
 TEST_F(CacheTest, IndexSkipsMalformedLines) {

@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "src/support/faultinject.h"
+#include "src/support/server.h"
 
 namespace refscan {
 namespace {
@@ -295,6 +296,22 @@ TEST(IpcFaultTest, InjectedWriteFaultOnTinyPayloadCutsTheHeader) {
 // cut short by EINTR must still deliver every frame intact. A tiny SO_SNDBUF
 // forces short writes; a storm of SIGUSR1 at the sender thread forces EINTR
 // returns while it is blocked.
+// A resident daemon launches one thread per connection; a thread whose
+// body has returned must be joined at the next launch, not kept (with its
+// stack mapped) until shutdown.
+TEST(ConnectionRegistryTest, FinishedThreadsAreJoinedAtTheNextLaunch) {
+  ConnectionRegistry registry;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 40; ++i) {
+    registry.Launch([&ran] { ran.fetch_add(1); });
+    ASSERT_TRUE(registry.WaitIdle(5000));
+  }
+  EXPECT_EQ(ran.load(), 40);
+  EXPECT_EQ(registry.tracked_threads(), 1u);
+  registry.JoinAll();
+  EXPECT_EQ(registry.tracked_threads(), 0u);
+}
+
 TEST(IpcTest, PartialWritesUnderSignalStormDeliverIntactFrames) {
   struct sigaction sa = {};
   sa.sa_handler = [](int) {};  // no SA_RESTART: send() returns EINTR

@@ -23,6 +23,7 @@
 #include "src/support/faultinject.h"
 #include "src/support/ipc.h"
 #include "src/support/source.h"
+#include "tests/ipa_snapshot_cases.h"
 
 namespace refscan {
 namespace {
@@ -177,6 +178,52 @@ TEST(ServeTest, RemoteMatchesLocalColdAndWarmAtEveryJobs) {
   const ScanServer::Counters c = server.counters();
   EXPECT_EQ(c.scans, 4u);
   EXPECT_EQ(c.faulted, 0u);
+}
+
+TEST(ServeTest, IpaSnapshotRemoteScansEqualColdAtEveryJobs) {
+  for (const size_t jobs : {size_t{1}, size_t{4}}) {
+    ServeConfig config;
+    config.socket_path = TestSocketPath(jobs == 1 ? "ipa1" : "ipa4");
+    ScanServer server(config);
+    ASSERT_TRUE(server.Start());
+    ipa_snapshot_cases::Backend backend;
+    backend.store = server.store();
+    backend.scan = [&](const SourceTree& tree, const ScanOptions& options) {
+      std::string note;
+      std::optional<ScanResult> result =
+          RemoteScan(tree, options, config.socket_path, FastBackoff(), &note);
+      EXPECT_TRUE(result.has_value()) << note;
+      return result.value_or(ScanResult{});
+    };
+    ipa_snapshot_cases::RunAll(backend, jobs);
+    EXPECT_TRUE(server.Drain());
+  }
+}
+
+// The summaries request seeds the KB from the request's dialects, exactly
+// as a scan with those options would.
+TEST(ServeTest, SummariesRequestHonoursTheDialect) {
+  ServeConfig config;
+  config.socket_path = TestSocketPath("summaries");
+  ScanServer server(config);
+  ASSERT_TRUE(server.Start());
+  SourceTree tree;
+  tree.Add("my.c", "static GObject *my_ref(GObject *o) { return g_object_ref(o); }\n");
+  const auto summaries = [&](const std::vector<std::string>& dialects) {
+    ScanOptions options;
+    options.dialects = dialects;
+    std::string reply;
+    std::string error;
+    EXPECT_TRUE(RemoteRequestText(config.socket_path, kServeSummariesReq,
+                                  EncodeScanRequest(tree, options), reply, &error))
+        << error;
+    return reply;
+  };
+  const std::string glib = summaries({"glib"});
+  EXPECT_NE(glib.find("\"name\": \"my_ref\""), std::string::npos) << glib;
+  EXPECT_NE(glib.find("\"returns_acquired\": true"), std::string::npos) << glib;
+  EXPECT_NE(summaries({}).find("\"returns_acquired\": false"), std::string::npos);
+  EXPECT_TRUE(server.Drain());
 }
 
 TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {

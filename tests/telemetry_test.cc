@@ -9,14 +9,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/checkers/engine.h"
+#include "src/serve/client.h"
+#include "src/serve/serve.h"
 #include "src/support/faultinject.h"
 #include "src/support/fs.h"
 #include "src/support/telemetry.h"
@@ -407,6 +411,38 @@ TEST(ScanTelemetryTest, EventsAndStableMetricsAreIdenticalAcrossJobs) {
   EXPECT_EQ(serial.second, parallel.second);  // stable Prometheus lines
   EXPECT_FALSE(serial.first.empty());
   EXPECT_NE(serial.second.find("refscan_scan_files 3"), std::string::npos);
+}
+
+// A `--remote` client's wall time is the RemoteScan round trip: one
+// stage.remote span covers it, and the trace (the in-process daemon's spans
+// included) is the same at --jobs 1 and --jobs 4.
+TEST(ScanTelemetryTest, RemoteScanRecordsOneJobsInvariantRemoteSpan) {
+  auto run = [](size_t jobs) {
+    ServeConfig config;
+    config.socket_path = "/tmp/refscan-telemetry-test-" + std::to_string(::getpid()) + "-" +
+                         std::to_string(jobs) + ".sock";
+    ScanServer server(config);
+    EXPECT_TRUE(server.Start());
+    Telemetry session;
+    ScanOptions options;
+    options.jobs = jobs;
+    {
+      ScopedTelemetry arm(session);
+      const std::optional<ScanResult> result = RemoteScan(SmallTree(), options, config.socket_path);
+      EXPECT_TRUE(result.has_value());
+    }
+    EXPECT_TRUE(server.Drain());
+    std::vector<std::pair<std::string, std::string>> events;
+    for (const TraceEvent& e : session.SortedEvents()) {
+      events.emplace_back(e.name, e.arg);
+    }
+    return events;
+  };
+  const auto serial = run(1);
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), std::make_pair(std::string("stage.remote"),
+                                                                   std::string())),
+            1);
+  EXPECT_EQ(serial, run(4));
 }
 
 TEST(ScanTelemetryTest, ScanReportsAreByteIdenticalWithTelemetryOnAndOff) {

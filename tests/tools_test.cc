@@ -235,6 +235,40 @@ TEST(DiskTreeErrorsTest, MissingRootReportsError) {
   ASSERT_EQ(errors.size(), 1u);
 }
 
+// ------------------------------------------------------ summaries subcommand
+
+// `refscan summaries` seeds the KB exactly as a scan with the same flags:
+// under --dialect glib a g_object_ref wrapper returns an acquired
+// reference, and without it the wrapper stays trivial.
+TEST(SummariesCliTest, DialectFlagSeedsTheKnowledgeBase) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("refscan_summaries_cli-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  std::ofstream(root / "my.c") << "static GObject *my_ref(GObject *o) { return g_object_ref(o); }\n";
+  const auto summaries = [&](const std::string& flags) {
+    const std::string cmd = std::string(REFSCAN_CLI_PATH) + " summaries " + root.string() + flags;
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    std::string out;
+    char buf[4096];
+    size_t n;
+    while (pipe != nullptr && (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+      out.append(buf, n);
+    }
+    EXPECT_NE(pipe, nullptr);
+    EXPECT_EQ(pipe != nullptr ? ::pclose(pipe) : -1, 0) << cmd;
+    return out;
+  };
+  const std::string glib = summaries(" --dialect glib");
+  const std::string plain = summaries("");
+  std::filesystem::remove_all(root);
+  EXPECT_NE(glib.find("my_ref()"), std::string::npos) << glib;
+  EXPECT_NE(glib.find("returns acquired"), std::string::npos) << glib;
+  EXPECT_NE(glib.find("1 of 1 functions carry"), std::string::npos) << glib;
+  EXPECT_NE(plain.find("0 of 1 functions carry"), std::string::npos) << plain;
+}
+
 // ----------------------------------------------------------- gitlog round trip
 
 TEST(GitLogTest, RoundTripPreservesMiningResult) {

@@ -5,7 +5,8 @@
 //   refscan match <dir> "<template>" [--jobs N]   run a custom semantic template
 //   refscan dump <file.c> [tokens|ast|cfg|cpg]    inspect front-end stages
 //   refscan deviations <dir> [--jobs N]           find deviant refcounting APIs
-//   refscan summaries <dir> [--json] [--jobs N]   interprocedural ref-delta summaries
+//   refscan summaries <dir> [--json] [--jobs N] [--dialect NAME]...
+//                                                 interprocedural ref-delta summaries
 //   refscan stats <dir> [--json] [--jobs N]       scan and print only the stats table
 //   refscan demo [--jobs N] [--emit <dir>]        scan the built-in synthetic kernel corpus
 //
@@ -74,7 +75,7 @@ int Usage() {
                "-> S_D(p0) -> F_end\"\n"
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
                "  refscan deviations <dir> [--jobs N]\n"
-               "  refscan summaries <dir> [--json] [--jobs N]\n"
+               "  refscan summaries <dir> [--json] [--jobs N] [--dialect NAME]...\n"
                "  refscan stats <dir> [--json] [--jobs N]   scan, print only the stats table\n"
                "  refscan demo [--jobs N] [--emit <dir>] [--kernelish N]\n"
                "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
@@ -359,11 +360,10 @@ std::vector<refscan::FileFailure> MergeFailures(
   return all;
 }
 
-int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
-            const std::vector<refscan::LoadFailure>& load_failures = {},
-            const refscan::LoadStats& load_stats = {}) {
-  using namespace refscan;
-  ScanOptions options;
+// The engine options the scan-shaped flags select (`scan`, `stats`,
+// `deviations`, `summaries`).
+refscan::ScanOptions ScanOptionsFromFlags(const CliFlags& flags) {
+  refscan::ScanOptions options;
   options.discover_from_source = flags.discovery;
   options.jobs = flags.jobs;
   options.interprocedural = flags.interprocedural;
@@ -376,6 +376,14 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
     options.cache_dir = flags.cache_dir;
     options.cache_server = flags.cache_server;
   }
+  return options;
+}
+
+int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
+            const std::vector<refscan::LoadFailure>& load_failures = {},
+            const refscan::LoadStats& load_stats = {}) {
+  using namespace refscan;
+  const ScanOptions options = ScanOptionsFromFlags(flags);
 
   size_t workers = flags.workers;
   if (workers > 0 && flags.interprocedural) {
@@ -909,27 +917,16 @@ int RealMain(int argc, char** argv) {
       std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
       return kExitHardFailure;
     }
-    // Same front half as a scan: parse everything, run the two-round
-    // discovery pass, then compute and dump the summaries.
-    std::vector<const SourceFile*> files;
-    for (const auto& [path, file] : tree.files()) {
-      files.push_back(&file);
+    // Same front half as an --ipa scan (dialects, discovery, path cap),
+    // then dump the summaries.
+    CheckerEngine engine(KnowledgeBase::BuiltIn(), ScanOptionsFromFlags(flags));
+    std::vector<FileFailure> failures;
+    const std::string out =
+        engine.Summarize(tree, flags.json ? SummariesToJson : SummariesToText, &failures);
+    for (const FileFailure& f : failures) {
+      std::fprintf(stderr, "warning: %s: %s\n", f.path.c_str(), f.what.c_str());
     }
-    ThreadPool pool(flags.jobs);
-    const std::vector<TranslationUnit> units =
-        ParallelMap(pool, files.size(), [&](size_t i) { return ParseFile(*files[i]); });
-    KnowledgeBase kb = KnowledgeBase::BuiltIn();
-    for (int round = 0; round < 2; ++round) {
-      for (const TranslationUnit& unit : units) {
-        kb.DiscoverFromUnit(unit);
-      }
-    }
-    std::vector<const TranslationUnit*> unit_ptrs;
-    for (const TranslationUnit& unit : units) {
-      unit_ptrs.push_back(&unit);
-    }
-    const SummaryResult result = ComputeSummaries(unit_ptrs, kb, SummaryOptions{}, pool);
-    std::printf("%s", (flags.json ? SummariesToJson(result) : SummariesToText(result)).c_str());
+    std::printf("%s", out.c_str());
     return 0;
   }
 
