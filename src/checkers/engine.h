@@ -22,6 +22,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -73,18 +75,14 @@ struct ScanOptions {
   // Unix-socket path of a `refscan cached` shared artifact server
   // (src/cache/store.h). When set it takes precedence over cache_dir: cache
   // gets/puts go over the socket, so N scanning processes (or machines
-  // sharing the socket via a forwarder) split one warm store. Location, not
-  // content — excluded from the options fingerprint, and an unreachable
-  // server degrades every call to a miss.
+  // sharing the socket via a forwarder) split one warm store. An
+  // unreachable server degrades every call to a miss.
   std::string cache_server;
 
   // In-process artifact store injection: when set it wins over cache_server
   // and cache_dir. The resident scan service (`refscan serve`) points every
   // request at one shared MemoryStore so KB snapshots, facts and report
-  // shards stay hot across requests. Like the other cache knobs this is a
-  // location, not content — excluded from the options fingerprint, and it
-  // never travels on any wire (shard workers and serve requests get their
-  // store from their own side of the socket).
+  // shards stay hot across requests.
   std::shared_ptr<ObjectStore> object_store;
 
   // Precision knobs (the design-choice ablation toggles these):
@@ -129,11 +127,51 @@ struct ScanOptions {
   // stage 3 re-parses each file just-in-time, so at most `jobs` units are
   // alive at once and peak RSS is bounded by the largest file instead of
   // the whole tree. Costs a second parse per cold file; output is
-  // byte-identical, so it is excluded from the options fingerprint (cached
-  // artifacts are shared with non-streaming scans). Ignored (units kept)
-  // when `interprocedural` is set — stage 2.5 needs every AST at once.
+  // byte-identical. Ignored (units kept) when `interprocedural` is set —
+  // stage 2.5 needs every AST at once.
   bool streaming = false;
 };
+
+// The C++ type of a ScanOptions member, one alternative per type in use.
+using ScanOptionMember =
+    std::variant<size_t ScanOptions::*, int ScanOptions::*, bool ScanOptions::*,
+                 uint32_t ScanOptions::*, double ScanOptions::*, std::string ScanOptions::*,
+                 std::set<int> ScanOptions::*, std::vector<std::string> ScanOptions::*,
+                 std::shared_ptr<ObjectStore> ScanOptions::*>;
+
+// One ScanOptions member: the single declaration of how the CLI spells it,
+// whether it enters the cache fingerprint and whether it names a cache
+// location. The CLI's flag parser and usage text, the wire image
+// (WriteScanOptionsWire) and ScanOptionsFingerprint all iterate this table,
+// so no view can silently miss a member; tests/options_test.cc pins one row
+// per member and the fingerprint bytes.
+struct ScanOptionField {
+  const char* name;  // the member's name
+  ScanOptionMember member;
+  // CLI spelling and alias; nullptr = engine-only (no flag).
+  const char* flag = nullptr;
+  const char* alias = nullptr;
+  // A flag's value: its placeholder in the usage text and the parser that
+  // validates it and writes the member (false with `error` set on bad
+  // text). A flag without a parser is a switch: it sets a bool member to
+  // the opposite of its default (--no-discovery clears, --ipa sets).
+  const char* value_name = nullptr;
+  bool (*parse)(const ScanOptionField& field, std::string_view text, ScanOptions& options,
+                std::string& error) = nullptr;
+  const char* help = nullptr;  // usage text, lines separated by '\n'
+  bool fingerprint = false;    // hashed by ScanOptionsFingerprint
+  bool location = false;       // where the cache lives (ClearScanLocations)
+};
+
+// Every ScanOptions member, in wire order.
+const std::vector<ScanOptionField>& ScanOptionFields();
+
+// The row whose CLI flag or alias is `flag`; nullptr when none is.
+const ScanOptionField* FindScanOptionFlag(std::string_view flag);
+
+// Resets every location row (cache_dir, cache_server, object_store): the
+// CLI's --no-cache, and serve / watch before they attach their own store.
+void ClearScanLocations(ScanOptions& options);
 
 // Where in the pipeline a quarantined file failed.
 enum class FailureStage : uint8_t { kLoad, kParse, kCheck, kSummarize };
@@ -159,14 +197,8 @@ struct FileFailure {
 bool ParsePatternList(std::string_view text, std::set<int>& out);
 
 // Digest of every ScanOptions field that can change a file's cache
-// artifacts. `jobs` is excluded (reports are identical at every thread
-// count) and so is `interprocedural` (it only changes the KB, which the
-// report key already fingerprints), so parses cached by a plain scan are
-// reused by an `--ipa` scan and vice versa. The deterministic governor caps
-// (max_file_bytes, max_ast_nodes, max_ast_depth) are included — they change
-// what a parse produces. fault_spec, file_timeout_ms and max_failure_ratio
-// are excluded: a file that faults or times out stores no artifacts, so
-// nothing wall-clock- or injection-dependent can ever be replayed.
+// artifacts: the ScanOptionFields rows flagged `fingerprint`, in table
+// order (each excluded row says why it is).
 uint64_t ScanOptionsFingerprint(const ScanOptions& options);
 
 // One semantic event along an enumerated path. `path_pos` is the index of

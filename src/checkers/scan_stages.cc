@@ -1,7 +1,6 @@
 #include "src/checkers/scan_stages.h"
 
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "src/cache/store.h"
@@ -149,65 +148,30 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   return local;
 }
 
-void WriteScanOptionsWire(ByteWriter& w, const ScanOptions& o) {
-  w.U64(o.max_paths_per_function);
-  w.I32(o.nesting_threshold);
-  w.Bool(o.discover_from_source);
-  w.U32(static_cast<uint32_t>(o.enabled_patterns.size()));
-  for (const int p : o.enabled_patterns) {
-    w.I32(p);
+void WriteScanJob(ByteWriter& w, const ScanOptions& options,
+                  const std::vector<const SourceFile*>& files) {
+  WriteScanOptionsWire(w, options);
+  w.U32(static_cast<uint32_t>(files.size()));
+  for (const SourceFile* file : files) {
+    w.Str(file->path());
+    w.Str(file->text());
   }
-  w.U32(static_cast<uint32_t>(o.dialects.size()));
-  for (const std::string& d : o.dialects) {
-    w.Str(d);
-  }
-  w.U64(o.jobs);
-  w.Str(o.cache_dir);
-  w.Str(o.cache_server);
-  w.Bool(o.prune_null_branches);
-  w.Bool(o.model_ownership_transfer);
-  w.Bool(o.interprocedural);
-  w.Str(o.fault_spec);
-  w.U32(o.file_timeout_ms);
-  w.U64(o.max_file_bytes);
-  w.U64(o.max_ast_nodes);
-  w.I32(o.max_ast_depth);
-  uint64_t ratio_bits = 0;
-  static_assert(sizeof(ratio_bits) == sizeof(o.max_failure_ratio));
-  std::memcpy(&ratio_bits, &o.max_failure_ratio, sizeof(ratio_bits));
-  w.U64(ratio_bits);
-  w.Bool(o.streaming);
 }
 
-bool ReadScanOptionsWire(ByteReader& r, ScanOptions& o) {
-  o.max_paths_per_function = static_cast<size_t>(r.U64());
-  o.nesting_threshold = r.I32();
-  o.discover_from_source = r.Bool();
-  o.enabled_patterns.clear();
-  const uint32_t npatterns = r.Count();
-  for (uint32_t i = 0; r.ok() && i < npatterns; ++i) {
-    o.enabled_patterns.insert(r.I32());
+bool ReadScanJob(std::string_view payload, ScanOptions& options, SourceTree& tree) {
+  ByteReader r(payload);
+  if (!ReadScanOptionsWire(r, options)) {
+    return false;
   }
-  o.dialects.clear();
-  const uint32_t ndialects = r.Count();
-  for (uint32_t i = 0; r.ok() && i < ndialects; ++i) {
-    o.dialects.push_back(r.Str());
+  const uint32_t nfiles = r.Count();
+  for (uint32_t i = 0; r.ok() && i < nfiles; ++i) {
+    std::string path = r.Str();
+    std::string text = r.Str();
+    if (r.ok()) {
+      tree.Add(std::move(path), std::move(text));
+    }
   }
-  o.jobs = static_cast<size_t>(r.U64());
-  o.cache_dir = r.Str();
-  o.cache_server = r.Str();
-  o.prune_null_branches = r.Bool();
-  o.model_ownership_transfer = r.Bool();
-  o.interprocedural = r.Bool();
-  o.fault_spec = r.Str();
-  o.file_timeout_ms = r.U32();
-  o.max_file_bytes = static_cast<size_t>(r.U64());
-  o.max_ast_nodes = static_cast<size_t>(r.U64());
-  o.max_ast_depth = r.I32();
-  const uint64_t ratio_bits = r.U64();
-  std::memcpy(&o.max_failure_ratio, &ratio_bits, sizeof(ratio_bits));
-  o.streaming = r.Bool();
-  return r.ok();
+  return r.ok() && r.AtEnd();
 }
 
 ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cache) {

@@ -66,16 +66,19 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options);
 
 // ---- ScanOptions on the wire (ByteWriter/ByteReader format) -----------
 //
-// Shared by the shard-worker kJob frame (src/checkers/sharded) and the
-// serve kScanReq frame (src/serve/protocol): a remote process must behave
-// exactly like the in-process stages would under the same options, so every
-// value field travels — including the governor caps and the fault spec; the
-// double rides as its bit pattern (memcpy, not a cast: the value must
-// survive exactly). `object_store` is deliberately NOT on the wire: it is a
-// live pointer into the sending process, and each side of a socket supplies
-// its own store.
+// A remote process must behave exactly like the in-process stages would
+// under the same options, so every ScanOptionFields row travels, in table
+// order, behind the row count (`object_store`, a live pointer, contributes
+// no bytes). A version-skewed peer's count fails the decode loudly.
 void WriteScanOptionsWire(ByteWriter& w, const ScanOptions& options);
 bool ReadScanOptionsWire(ByteReader& r, ScanOptions& options);
+
+// A scan job — the options image, then each file's (path, text) — is the
+// payload of both the shard kJob frame and the serve kScanReq frame.
+// ReadScanJob rejects skewed options, truncation and trailing bytes.
+void WriteScanJob(ByteWriter& w, const ScanOptions& options,
+                  const std::vector<const SourceFile*>& files);
+bool ReadScanJob(std::string_view payload, ScanOptions& options, SourceTree& tree);
 
 // Derived per-scan constants shared by every file's stage bodies.
 struct ScanStageContext {

@@ -200,13 +200,13 @@ void WorkerFleet::Spawn(const std::vector<const SourceFile*>& files) {
     if (workers_[i].dead) {
       continue;
     }
-    ByteWriter w;
-    WriteScanOptionsWire(w, options_);
-    w.U32(static_cast<uint32_t>(shards_[i].size()));
+    std::vector<const SourceFile*> shard;
+    shard.reserve(shards_[i].size());
     for (const size_t idx : shards_[i]) {
-      w.Str(files[idx]->path());
-      w.Str(files[idx]->text());
+      shard.push_back(files[idx]);
     }
+    ByteWriter w;
+    WriteScanJob(w, options_, shard);
     if (!SendFrame(workers_[i].conn.get(), kJob, w.bytes(), &ipc_error)) {
       MarkDead(workers_[i], "send job: " + ipc_error);
     }
@@ -417,22 +417,9 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   }
   ScanOptions options;
   SourceTree tree;
-  {
-    ByteReader r(payload);
-    if (!ReadScanOptionsWire(r, options)) {
-      std::fprintf(stderr, "refscan worker %d: malformed job options\n", worker_id);
-      return 1;
-    }
-    const uint32_t nfiles = r.Count();
-    for (uint32_t i = 0; r.ok() && i < nfiles; ++i) {
-      std::string path = r.Str();
-      std::string text = r.Str();
-      tree.Add(std::move(path), std::move(text));
-    }
-    if (!r.ok()) {
-      std::fprintf(stderr, "refscan worker %d: malformed job payload\n", worker_id);
-      return 1;
-    }
+  if (!ReadScanJob(payload, options, tree)) {
+    std::fprintf(stderr, "refscan worker %d: malformed job\n", worker_id);
+    return 1;
   }
 
   // Arm the coordinator's fault plan so worker-side sites (parser.*,

@@ -7,30 +7,18 @@
 namespace refscan {
 
 std::string EncodeScanRequest(const SourceTree& tree, const ScanOptions& options) {
-  ByteWriter w;
-  WriteScanOptionsWire(w, options);
-  w.U32(static_cast<uint32_t>(tree.size()));
+  std::vector<const SourceFile*> files;
+  files.reserve(tree.size());
   for (const auto& [path, file] : tree.files()) {
-    w.Str(path);
-    w.Str(file.text());
+    files.push_back(&file);
   }
+  ByteWriter w;
+  WriteScanJob(w, options, files);
   return w.TakeBytes();
 }
 
 bool DecodeScanRequest(std::string_view payload, SourceTree& tree, ScanOptions& options) {
-  ByteReader r(payload);
-  if (!ReadScanOptionsWire(r, options)) {
-    return false;
-  }
-  const uint32_t nfiles = r.Count();
-  for (uint32_t i = 0; r.ok() && i < nfiles; ++i) {
-    std::string path = r.Str();
-    std::string text = r.Str();
-    if (r.ok()) {
-      tree.Add(std::move(path), std::move(text));
-    }
-  }
-  return r.ok() && r.AtEnd();
+  return ReadScanJob(payload, options, tree);
 }
 
 std::string EncodeScanResult(const ScanResult& result) {

@@ -14,10 +14,10 @@
 // client should back off and retry. kServeErr carries a one-line reason;
 // the client surfaces it as a degraded scan (exit 2), never as silence.
 //
-// The scan request carries the full ScanOptions wire image (the same
-// encoding the shard-worker kJob frame uses — scan_stages.h) plus every
-// file, so the server needs no filesystem access and the client's loaded
-// tree is scanned bit-for-bit. The reply carries reports via the cache's
+// The scan request is a scan job (WriteScanJob, scan_stages.h — the same
+// payload as the shard-worker kJob frame): the count-checked ScanOptions
+// image plus every file, so the server needs no filesystem access and the
+// client's loaded tree is scanned bit-for-bit. The reply carries reports via the cache's
 // report serializer — the one report encoding in the codebase — plus the
 // stats table, the quarantine list, and the abort state, enough to
 // reconstruct a ScanResult that is indistinguishable from a local scan.

@@ -9,6 +9,7 @@
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -266,22 +267,24 @@ void ScanServer::ServeConn(OwnedFd conn) {
   conns_.Remove(conn.get());
 }
 
-void ScanServer::SanitizeRequestOptions(ScanOptions& options) const {
+void SanitizeRequestOptions(ScanOptions& options, const ServeConfig& config,
+                            std::shared_ptr<ObjectStore> store) {
   // Requests scan against the resident store, never a path or socket of
   // the client's choosing, and a client fault spec must not arm sites in
   // the server process beyond its own request... which is exactly what
   // ScanOptions::fault_spec would do (ScopedFaultArm is process-global for
   // the scan's duration). Strip it: fault injection into the server is the
   // server operator's knob (REFSCAN_FAULTS / serve.* sites).
-  options.object_store = store_;
-  options.cache_dir.clear();
-  options.cache_server.clear();
+  ClearScanLocations(options);
+  options.object_store = std::move(store);
   options.fault_spec.clear();
-  if (config_.request_timeout_ms > 0) {
+  if (config.request_timeout_ms > 0) {
     options.file_timeout_ms = options.file_timeout_ms == 0
-                                  ? config_.request_timeout_ms
-                                  : std::min(options.file_timeout_ms, config_.request_timeout_ms);
+                                  ? config.request_timeout_ms
+                                  : std::min(options.file_timeout_ms, config.request_timeout_ms);
   }
+  const size_t cap = ThreadPool::ResolveJobs(config.jobs);
+  options.jobs = options.jobs == 0 ? cap : std::min(options.jobs, cap);
 }
 
 std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
@@ -291,7 +294,7 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
     type = kServeErr;
     return "malformed scan request";
   }
-  SanitizeRequestOptions(options);
+  SanitizeRequestOptions(options, config_, store_);
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   const ScanResult result = engine.Scan(tree);
   scans_.fetch_add(1, std::memory_order_relaxed);
@@ -337,7 +340,7 @@ std::string ScanServer::HandleSummaries(std::string_view payload, uint8_t& type)
   }
   // Same front half as `refscan summaries`: the request's dialects,
   // discovery and path cap, exactly as an --ipa scan applies them.
-  SanitizeRequestOptions(options);
+  SanitizeRequestOptions(options, config_, store_);
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   type = kServeText;
   return engine.Summarize(tree, SummariesToJson);

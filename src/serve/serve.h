@@ -12,7 +12,8 @@
 //                 and the connection lives on; the resident store and every
 //                 other request are untouched. Client-supplied fault specs
 //                 and cache locations are stripped server-side — a tenant
-//                 cannot arm faults in, or point I/O out of, the server.
+//                 cannot arm faults in, or point I/O out of, the server —
+//                 and a request's `jobs` is capped at ServeConfig::jobs.
 //   deadlines     ServeConfig::request_timeout_ms folds into each request's
 //                 per-file deadline (cooperative), and a watchdog thread
 //                 backstops hung requests: past the deadline it sends
@@ -58,7 +59,18 @@ struct ServeConfig {
   size_t max_pending = 8;          // connections admitted beyond the sessions
   uint32_t request_timeout_ms = 0;  // 0 = no per-request deadline
   uint32_t drain_timeout_ms = 5000;
+  // Thread cap of every request and of the watch loop (0 = all hardware
+  // threads): a tenant's `jobs` never buys more.
+  size_t jobs = 0;
 };
+
+// Prepares a decoded request's options for this server: attaches `store`,
+// strips what a tenant must not control (cache locations, fault spec),
+// folds config.request_timeout_ms into the per-file deadline, and resolves
+// `jobs` to at most the config's cap (0 or anything above it becomes the
+// cap). Pure: it starts no thread.
+void SanitizeRequestOptions(ScanOptions& options, const ServeConfig& config,
+                            std::shared_ptr<ObjectStore> store);
 
 class ScanServer {
  public:
@@ -113,10 +125,6 @@ class ScanServer {
   void ReleaseSession();
   void Reply(ReplyState& rs, uint8_t type, const std::string& payload);
 
-  // Points a decoded request at the resident store and strips what a
-  // tenant must not control (cache location, fault spec); folds the
-  // request deadline into the per-file one.
-  void SanitizeRequestOptions(ScanOptions& options) const;
   std::string HandleScan(std::string_view payload, uint8_t& type);
   std::string HandleStats() const;
   std::string HandleSummaries(std::string_view payload, uint8_t& type);

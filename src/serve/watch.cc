@@ -74,9 +74,8 @@ std::string FormatWatchDelta(uint64_t generation, const ReportDelta& delta, size
 uint64_t RunWatchLoop(const WatchConfig& watch, ScanOptions options,
                       std::shared_ptr<ObjectStore> store, const std::atomic<bool>& stop,
                       std::FILE* out) {
+  ClearScanLocations(options);
   options.object_store = std::move(store);
-  options.cache_dir.clear();
-  options.cache_server.clear();
   uint64_t generation = 0;
   uint64_t last_fp = 0;
   std::vector<BugReport> last_reports;

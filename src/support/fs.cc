@@ -1,15 +1,9 @@
 #include "src/support/fs.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <thread>
 
@@ -25,8 +19,6 @@ namespace {
 
 struct ReadResult {
   std::string text;
-  std::shared_ptr<const char[]> mapping;  // set = mmap-backed, `text` unused
-  size_t mapped_size = 0;
   std::string error;
   bool ok = false;
   int retries = 0;
@@ -62,48 +54,16 @@ ReadResult ReadFileContents(const fs::path& path) {
   return result;
 }
 
-// mmap'd read: MAP_PRIVATE read-only pages stay file-backed, so the kernel
-// pages them in on demand and can evict them under memory pressure — peak
-// RSS tracks the scan's working set, not the tree. Returns false (caller
-// falls back to a plain read) when the file is empty or the filesystem
-// refuses to map.
-bool MmapFileContents(const fs::path& path, ReadResult& result) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return false;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return false;
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return false;
-  }
-  result.mapping = std::shared_ptr<const char[]>(
-      static_cast<const char*>(map),
-      [size](const char* p) { ::munmap(const_cast<char*>(p), size); });
-  result.mapped_size = size;
-  result.ok = true;
-  return true;
-}
-
 // ReadFileContents behind the `fs.read` fault-injection site. An injected
 // transient I/O failure is retried once after a short backoff (the shape a
 // real flaky NFS mount or overloaded disk produces); a permanent injected
 // failure, like a genuinely unreadable file, reports as such.
-ReadResult ReadCandidate(const fs::path& path, const std::string& key, bool use_mmap) {
+ReadResult ReadCandidate(const fs::path& path, const std::string& key) {
   TelemetrySpan span("file.load", key);
   for (int attempt = 0;; ++attempt) {
     try {
       MaybeFault("fs.read", key);
-      ReadResult result;
-      if (!use_mmap || !MmapFileContents(path, result)) {
-        result = ReadFileContents(path);
-      }
+      ReadResult result = ReadFileContents(path);
       result.retries = attempt;
       if (!result.ok) {
         result.error = "unreadable";
@@ -191,11 +151,9 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
   }
 
   ThreadPool pool(options.jobs);
-  const bool use_mmap = options.use_mmap;
-  std::vector<ReadResult> contents =
-      ParallelMap(pool, candidates.size(), [&candidates, use_mmap](size_t i) {
-        return ReadCandidate(candidates[i].path, candidates[i].key, use_mmap);
-      });
+  std::vector<ReadResult> contents = ParallelMap(pool, candidates.size(), [&candidates](size_t i) {
+    return ReadCandidate(candidates[i].path, candidates[i].key);
+  });
 
   LoadStats local;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -213,12 +171,7 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
       continue;
     }
     ++local.files_loaded;
-    if (contents[i].mapping) {
-      tree.Add(SourceFile(std::move(candidates[i].key), std::move(contents[i].mapping),
-                          contents[i].mapped_size));
-    } else {
-      tree.Add(std::move(candidates[i].key), std::move(contents[i].text));
-    }
+    tree.Add(std::move(candidates[i].key), std::move(contents[i].text));
   }
   if (Telemetry* t = CurrentTelemetry()) {
     t->metrics().Counter("load.files").Add(local.files_loaded);

@@ -1,6 +1,7 @@
 #include "src/support/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -150,6 +151,16 @@ bool StartsWithWord(std::string_view name, std::string_view prefix) {
   }
   const char after = name[prefix.size()];
   return after == '_' || !IsIdentChar(after);
+}
+
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t& out) {
+  uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || ptr != text.data() + text.size() || value > max) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -3,6 +3,7 @@
 #ifndef REFSCAN_SUPPORT_STRINGS_H_
 #define REFSCAN_SUPPORT_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,11 @@ bool EndsWithWord(std::string_view name, std::string_view suffix);
 
 // True if `name` starts with `prefix` at an identifier-part boundary.
 bool StartsWithWord(std::string_view name, std::string_view prefix);
+
+// Parses a decimal unsigned integer no greater than `max` into `out`.
+// Rejects (leaving `out` untouched) empty text, a sign, whitespace, trailing
+// junk and overflow, so "-1" never wraps to 2^64-1.
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t& out);
 
 }  // namespace refscan
 

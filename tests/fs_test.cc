@@ -221,29 +221,5 @@ TEST_F(FsTest, EmptyFileLoadsAsEmptyText) {
   EXPECT_EQ(tree.Find("empty.c")->text(), "");
 }
 
-TEST_F(FsTest, MmapLoadIsByteIdenticalToBufferedLoad) {
-  // The streaming-ingestion path (DESIGN.md §5.15): use_mmap swaps the
-  // per-file buffer for a read-only mapping; every byte, line index and
-  // key must be indistinguishable from the plain-read path.
-  WriteFile("drivers/a/a.c", "int a;\nint b;\nchar *s = \"multi\\nline\";\n");
-  WriteFile("drivers/a/b.c", std::string(1 << 16, 'x') + "\n");
-  WriteFile("empty.c", "");  // mmap of size 0 fails; must fall back to read
-
-  LoadOptions mapped;
-  mapped.use_mmap = true;
-  const SourceTree plain = LoadSourceTreeFromDisk(root_);
-  const SourceTree mm = LoadSourceTreeFromDisk(root_, mapped);
-  ASSERT_EQ(plain.size(), mm.size());
-  for (const auto& [path, file] : plain.files()) {
-    const SourceFile* other = mm.Find(path);
-    ASSERT_NE(other, nullptr) << path;
-    EXPECT_EQ(file.text(), other->text()) << path;
-  }
-  // Line indexing is built over the mapping, not a copy.
-  const SourceFile* a = mm.Find("drivers/a/a.c");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->Line(2), "int b;");
-}
-
 }  // namespace
 }  // namespace refscan

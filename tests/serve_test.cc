@@ -23,6 +23,7 @@
 #include "src/support/faultinject.h"
 #include "src/support/ipc.h"
 #include "src/support/source.h"
+#include "src/support/threadpool.h"
 #include "tests/ipa_snapshot_cases.h"
 
 namespace refscan {
@@ -96,6 +97,38 @@ TEST(ServeProtocolTest, ScanRequestRoundTrip) {
   SourceTree t2;
   ScanOptions o2;
   EXPECT_FALSE(DecodeScanRequest(std::string_view(wire).substr(0, wire.size() / 2), t2, o2));
+}
+
+TEST(ServeSanitizeTest, CapsJobsAndStripsWhatATenantMustNotControl) {
+  ServeConfig config;
+  config.jobs = 3;
+  config.request_timeout_ms = 500;
+  const auto store = std::make_shared<MemoryStore>();
+  const auto sanitized = [&](size_t jobs) {
+    ScanOptions options;
+    options.jobs = jobs;
+    options.cache_dir = "/elsewhere";
+    options.cache_server = "/elsewhere.sock";
+    options.fault_spec = "parser.parse:file=*";
+    SanitizeRequestOptions(options, config, store);
+    return options;
+  };
+  EXPECT_EQ(sanitized(1).jobs, 1u);
+  EXPECT_EQ(sanitized(3).jobs, 3u);
+  EXPECT_EQ(sanitized(0).jobs, 3u);  // "all hardware threads" means the cap
+  EXPECT_EQ(sanitized(4).jobs, 3u);
+  EXPECT_EQ(sanitized(static_cast<size_t>(-1)).jobs, 3u);
+  const ScanOptions options = sanitized(1);
+  EXPECT_TRUE(options.cache_dir.empty());
+  EXPECT_TRUE(options.cache_server.empty());
+  EXPECT_TRUE(options.fault_spec.empty());
+  EXPECT_EQ(options.object_store, store);
+  EXPECT_EQ(options.file_timeout_ms, 500u);
+
+  // An uncapped daemon caps at its hardware threads.
+  config.jobs = 0;
+  EXPECT_EQ(sanitized(0).jobs, ThreadPool::ResolveJobs(0));
+  EXPECT_EQ(sanitized(static_cast<size_t>(-1)).jobs, ThreadPool::ResolveJobs(0));
 }
 
 TEST(ServeProtocolTest, ScanResultRoundTripIncludingFailures) {

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -267,6 +269,44 @@ TEST(SummariesCliTest, DialectFlagSeedsTheKnowledgeBase) {
   EXPECT_NE(glib.find("returns acquired"), std::string::npos) << glib;
   EXPECT_NE(glib.find("1 of 1 functions carry"), std::string::npos) << glib;
   EXPECT_NE(plain.find("0 of 1 functions carry"), std::string::npos) << plain;
+}
+
+// ------------------------------------------------------------ numeric flags
+
+// Exit status of `refscan ARGS` with both output streams discarded.
+int RunCli(const std::string& args) {
+  const std::string cmd =
+      "timeout 60 " + std::string(REFSCAN_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// Every numeric flag shares one parser: a sign, overflow or trailing junk
+// is a usage error (64), never a wrapped value — `--jobs -1` must not reach
+// the thread pool as 2^64-1.
+TEST(NumericFlagsCliTest, SignsOverflowAndJunkAreUsageErrors) {
+  const std::filesystem::path root = std::filesystem::temp_directory_path() /
+                                     ("refscan_flags_cli-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  std::ofstream(root / "a.c") << "int main(void) { return 0; }\n";
+  const std::string scan = "scan " + root.string();
+  EXPECT_EQ(RunCli(scan + " --jobs 1"), 0);
+  EXPECT_EQ(RunCli(scan + " --max-failure-ratio 1"), 0);  // [0, 1] is inclusive
+  for (const char* bad :
+       {" --jobs -1", " -j +2", " --jobs 1x", " --jobs 18446744073709551616",
+        " --file-timeout-ms 4294967296", " --file-timeout-ms -5", " --workers -2",
+        " --max-failure-ratio 1.5", " --max-failure-ratio -0.5", " --jobs", " --mmap"}) {
+    EXPECT_EQ(RunCli(scan + bad), 64) << bad;
+  }
+  EXPECT_EQ(RunCli("demo --kernelish -1"), 64);
+  EXPECT_EQ(RunCli("cache gc " + root.string() + " --max-bytes -1"), 64);
+  // Rejected before the daemon binds its socket, so nothing is left running.
+  const std::string serve = "serve " + (root / "serve.sock").string();
+  for (const char* bad : {" --jobs -1", " --sessions 2x", " --poll-ms 4294967296"}) {
+    EXPECT_EQ(RunCli(serve + bad), 64) << bad;
+  }
+  std::filesystem::remove_all(root);
 }
 
 // ----------------------------------------------------------- gitlog round trip

@@ -10,8 +10,8 @@
 //   refscan stats <dir> [--json] [--jobs N]       scan and print only the stats table
 //   refscan demo [--jobs N] [--emit <dir>]        scan the built-in synthetic kernel corpus
 //
-// --jobs/-j N picks the scan parallelism (0 = one thread per hardware
-// thread, the default); reports are identical at every thread count.
+// The ScanOptions flags (--jobs, --patterns, --cache-dir, ...) and their
+// usage text come from ScanOptionFields() (src/checkers/engine.h).
 //
 // Exit codes are disjoint (ScanExitCode, DESIGN.md §5.9): 0 = clean scan,
 // 10 = completed healthy with >= 1 report, 2 = completed degraded (some
@@ -32,9 +32,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <atomic>
@@ -58,19 +60,42 @@
 #include "src/kb/deviations.h"
 #include "src/support/faultinject.h"
 #include "src/support/fs.h"
+#include "src/support/strings.h"
 #include "src/support/telemetry.h"
 
 namespace {
 
+// One usage entry: the flag's spelling, then its help lines in a column.
+void PrintFlagHelp(const std::string& spelling, std::string_view help) {
+  bool first = true;
+  for (const std::string_view line : refscan::Split(help, '\n')) {
+    std::fprintf(stderr, "  %-24s %.*s\n", first ? spelling.c_str() : "",
+                 static_cast<int>(line.size()), line.data());
+    first = false;
+  }
+}
+
+// The CLI's own flags; the ScanOptions flags come from ScanOptionFields().
+constexpr std::pair<const char*, const char*> kCliFlagHelp[] = {
+    {"--no-cache", "ignore any --cache-dir / --cache-server (cold scan)"},
+    {"--workers N",
+     "shard stages 1 and 3 across N worker processes (0 = in-\n"
+     "process, the default; --ipa scans run in-process)"},
+    {"--kernelish N",
+     "(demo) append N kernel-realism modules per subsystem,\n"
+     "each with a deliberately unparseable function"},
+    {"--remote SOCKET",
+     "scan on a `refscan serve` daemon; an unreachable one\n"
+     "falls back to scanning locally (same output)"},
+    {"--stats", "print fault-isolation and cache counters (text and JSON)"},
+    {"--trace-out FILE", "write a Chrome trace-event JSON of the run (ui.perfetto.dev)"},
+    {"--metrics-out FILE", "write the run's counters in Prometheus text format"},
+};
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  refscan scan <dir> [--fix] [--json] [--no-discovery] [--patterns LIST]\n"
-               "                    [--dialect NAME] [--interprocedural] [--jobs N]\n"
-               "                    [--cache-dir DIR] [--cache-server PATH] [--no-cache]\n"
-               "                    [--workers N] [--streaming] [--mmap]\n"
-               "                    [--stats] [--faults SPEC] [--file-timeout-ms N]\n"
-               "                    [--max-failure-ratio R] [--trace-out FILE] [--metrics-out FILE]\n"
+               "  refscan scan <dir> [--fix] [--json] [FLAG]...   scan a C tree (flags below)\n"
                "  refscan match <dir> \"<template>\" [--jobs N]   e.g. \"F_start -> S_P(p0) "
                "-> S_D(p0) -> F_end\"\n"
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
@@ -85,243 +110,113 @@ int Usage() {
                "                [--jobs N]                  resident scan service: keeps the\n"
                "                                            artifact store warm and answers\n"
                "                                            scan/stats/summaries/health\n"
-               "                                            requests; SIGTERM drains\n"
+               "                                            requests, each on at most --jobs\n"
+               "                                            threads; SIGTERM drains\n"
                "  refscan health <socket> [--stats]         ping a serve daemon (--stats\n"
                "                                            prints its counters JSON)\n"
                "  refscan cache gc <dir> --max-bytes N      evict LRU cache objects over N\n"
                "  refscan worker --socket PATH --id N       (internal) shard worker process\n"
-               "\n"
-               "  --patterns LIST       comma-separated anti-pattern ids in 1..12, e.g. 1,4,10\n"
-               "                        (P10-P12 are opt-in; the default is 1..9)\n"
-               "  --dialect NAME        merge a userspace refcount dialect catalogue into the\n"
-               "                        KB before scanning (repeatable); known: glib, uacpi\n"
-               "  --interprocedural     fold bottom-up call-graph summaries into the KB\n"
-               "                        before checking (alias: --ipa)\n"
-               "  --jobs/-j N   scan threads (0 = all hardware threads, the default);\n"
-               "                output is identical at every thread count\n"
-               "  --cache-dir DIR   persistent incremental scan cache: rescans replay\n"
-               "                    cached parses and reports for unchanged files;\n"
-               "                    output is byte-identical to an uncached scan\n"
-               "  --no-cache        ignore any --cache-dir / --cache-server (cold scan)\n"
-               "  --cache-server PATH   Unix socket of a `refscan cached` server; shares one\n"
-               "                        warm artifact store across processes (takes\n"
-               "                        precedence over --cache-dir)\n"
-               "  --workers N       shard the scan across N worker subprocesses; output is\n"
-               "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
-               "                    the default; --interprocedural scans run in-process)\n"
-               "  --streaming       bounded-memory unit lifecycle for multi-MLOC trees: each\n"
-               "                    file's AST is dropped after stage 1 and re-parsed just in\n"
-               "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
-               "                    byte-identical (ignored with --interprocedural)\n"
-               "  --mmap            mmap source files instead of reading them onto the heap;\n"
-               "                    the pages stay evictable, so peak RSS tracks the working\n"
-               "                    set rather than the tree size\n"
-               "  --kernelish N     (demo) append N generated kernel-realism modules per\n"
-               "                    subsystem: attribute/asm/stmt-expr/CRLF/splice-heavy C\n"
-               "                    plus a deliberately unparseable function per module\n"
-               "  --remote SOCKET   run the scan on a `refscan serve` daemon (warm resident\n"
-               "                    store); output is byte-identical to a local scan, and an\n"
-               "                    unreachable server falls back to scanning locally\n"
-               "  --stats           print fault-isolation and cache counters (text and JSON)\n"
-               "  --faults SPEC     arm the deterministic fault-injection registry for this\n"
-               "                    run, e.g. 'parser.parse:file=*.broken.c' — see\n"
-               "                    src/support/faultinject.h (env: REFSCAN_FAULTS)\n"
-               "  --file-timeout-ms N   per-file wall-clock budget; overruns quarantine the\n"
-               "                        file instead of stalling the scan (0 = off)\n"
-               "  --max-failure-ratio R  abort when more than this fraction of files fail\n"
-               "                         (0 = complete degraded, the default)\n"
-               "  --trace-out FILE      write a Chrome trace-event JSON of the run (open in\n"
-               "                        chrome://tracing or ui.perfetto.dev)\n"
-               "  --metrics-out FILE    write the run's counters in Prometheus text format\n"
-               "\n"
-               "exit codes: 0 clean, 10 reports found, 2 degraded, 1 hard failure, 64 usage\n");
+               "\n");
+  for (const refscan::ScanOptionField& f : refscan::ScanOptionFields()) {
+    if (f.flag != nullptr) {
+      const std::string alias = f.alias != nullptr ? std::string("/") + f.alias : "";
+      const std::string value = f.value_name != nullptr ? std::string(" ") + f.value_name : "";
+      PrintFlagHelp(f.flag + alias + value, f.help);
+    }
+  }
+  for (const auto& [spelling, help] : kCliFlagHelp) {
+    PrintFlagHelp(spelling, help);
+  }
+  std::fprintf(stderr, "\nexit codes: 0 clean, 10 reports found, 2 degraded, 1 hard failure, "
+                       "64 usage\n");
   return refscan::kExitUsage;
+}
+
+// Parses a count flag's value (no sign, junk or overflow — the rule every
+// numeric flag shares); says why and returns false on bad text.
+template <typename T>
+bool ParseCountFlag(std::string_view flag, const char* text, T& out) {
+  uint64_t value = 0;
+  if (!refscan::ParseUnsigned(text, std::numeric_limits<T>::max(), value)) {
+    std::fprintf(stderr, "bad %.*s value '%s': expected an unsigned integer no greater than %llu\n",
+                 static_cast<int>(flag.size()), flag.data(), text,
+                 static_cast<unsigned long long>(std::numeric_limits<T>::max()));
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
 }
 
 // Shared flag state across the subcommands.
 struct CliFlags {
+  // The CLI's --jobs default is 0 (all hardware threads), not the struct's 1.
+  CliFlags() { options.jobs = 0; }
+
+  refscan::ScanOptions options;  // written by the ScanOptionFields flags
   bool print_fixes = false;
-  bool discovery = true;
   bool json = false;
-  bool interprocedural = false;
-  std::set<int> patterns = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<std::string> dialects;
-  size_t jobs = 0;  // 0 = hardware concurrency
   std::string emit_dir;
-  std::string cache_dir;
-  std::string cache_server;
   size_t workers = 0;   // 0 = in-process scan
   std::string remote;   // serve daemon socket; empty = scan locally
-  bool streaming = false;
-  bool use_mmap = false;
-  size_t kernelish = 0;  // demo: kernel-realism modules per subsystem
+  int kernelish = 0;    // demo: kernel-realism modules per subsystem
   bool no_cache = false;
   bool stats = false;
-  std::string fault_spec;
-  uint32_t file_timeout_ms = 0;
-  double max_failure_ratio = 0.0;
   std::string trace_out;
   std::string metrics_out;
   bool stats_only = false;  // `refscan stats`: suppress the report listing
 };
 
 // Parses flags from argv[first..); returns false on an unknown flag or a
-// missing/garbled flag argument.
+// missing/garbled flag argument. A ScanOptionFields flag writes straight
+// into flags.options; --no-cache then clears the cache locations, wherever
+// it appeared.
 bool ParseFlags(int argc, char** argv, int first, CliFlags& flags) {
+  using refscan::ScanOptions;
   for (int i = first; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fix") == 0) {
-      flags.print_fixes = true;
-    } else if (std::strcmp(argv[i], "--no-discovery") == 0) {
-      flags.discovery = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      flags.json = true;
-    } else if (std::strcmp(argv[i], "--interprocedural") == 0 ||
-               std::strcmp(argv[i], "--ipa") == 0) {
-      flags.interprocedural = true;
-    } else if (std::strcmp(argv[i], "--patterns") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--patterns needs a comma-separated list (e.g. 1,4,8)\n");
-        return false;
-      }
-      if (!refscan::ParsePatternList(argv[++i], flags.patterns)) {
-        std::fprintf(stderr, "bad pattern list '%s': expected comma-separated ids in 1..12\n",
-                     argv[i]);
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--dialect") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--dialect needs a name (known: ");
-        const auto& known = refscan::KnownDialects();
-        for (size_t k = 0; k < known.size(); ++k) {
-          std::fprintf(stderr, "%s%s", k == 0 ? "" : ", ", known[k].c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return false;
-      }
-      const std::string name = argv[++i];
-      const auto& known = refscan::KnownDialects();
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        std::fprintf(stderr, "unknown dialect '%s' (known:", name.c_str());
-        for (const std::string& k : known) {
-          std::fprintf(stderr, " %s", k.c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return false;
-      }
-      flags.dialects.push_back(name);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 || std::strcmp(argv[i], "-j") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a number\n", argv[i]);
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad thread count: %s\n", argv[i]);
-        return false;
-      }
-      flags.jobs = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-dir needs a directory\n");
-        return false;
-      }
-      flags.cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--cache-server") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-server needs a socket path\n");
-        return false;
-      }
-      flags.cache_server = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--workers needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad worker count: %s\n", argv[i]);
-        return false;
-      }
-      flags.workers = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--remote") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--remote needs a socket path\n");
-        return false;
-      }
-      flags.remote = argv[++i];
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      flags.streaming = true;
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      flags.use_mmap = true;
-    } else if (std::strcmp(argv[i], "--kernelish") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--kernelish needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad module count: %s\n", argv[i]);
-        return false;
-      }
-      flags.kernelish = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      flags.no_cache = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      flags.stats = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--faults needs a spec (see src/support/faultinject.h)\n");
-        return false;
-      }
-      flags.fault_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--file-timeout-ms") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--file-timeout-ms needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad timeout: %s\n", argv[i]);
-        return false;
-      }
-      flags.file_timeout_ms = static_cast<uint32_t>(value);
-    } else if (std::strcmp(argv[i], "--max-failure-ratio") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-failure-ratio needs a number in (0, 1]\n");
-        return false;
-      }
-      char* end = nullptr;
-      const double value = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || value < 0.0 || value > 1.0) {
-        std::fprintf(stderr, "bad failure ratio: %s\n", argv[i]);
-        return false;
-      }
-      flags.max_failure_ratio = value;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace-out needs a file path\n");
-        return false;
-      }
-      flags.trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-out needs a file path\n");
-        return false;
-      }
-      flags.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--emit") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--emit needs a directory\n");
-        return false;
-      }
-      flags.emit_dir = argv[++i];
-    } else {
+    const std::string_view arg = argv[i];
+    const refscan::ScanOptionField* field = refscan::FindScanOptionFlag(arg);
+    if (field != nullptr && field->parse == nullptr) {
+      // A switch: the opposite of the member's default.
+      bool ScanOptions::*member = std::get<bool ScanOptions::*>(field->member);
+      flags.options.*member = !(ScanOptions{}.*member);
+      continue;
+    }
+    if (arg == "--fix" || arg == "--json" || arg == "--no-cache" || arg == "--stats") {
+      bool& on = arg == "--fix"        ? flags.print_fixes
+                 : arg == "--json"     ? flags.json
+                 : arg == "--no-cache" ? flags.no_cache
+                                       : flags.stats;
+      on = true;
+      continue;
+    }
+    std::string* text = arg == "--emit"          ? &flags.emit_dir
+                         : arg == "--remote"      ? &flags.remote
+                         : arg == "--trace-out"   ? &flags.trace_out
+                         : arg == "--metrics-out" ? &flags.metrics_out
+                                                  : nullptr;
+    if (field == nullptr && text == nullptr && arg != "--workers" && arg != "--kernelish") {
       return false;
     }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs a value\n", argv[i]);
+      return false;
+    }
+    const char* value = argv[++i];
+    std::string error;
+    if (field != nullptr) {
+      if (!field->parse(*field, value, flags.options, error)) {
+        std::fprintf(stderr, "bad %s value '%s': %s\n", argv[i - 1], value, error.c_str());
+        return false;
+      }
+    } else if (text != nullptr) {
+      *text = value;
+    } else if (arg == "--workers" ? !ParseCountFlag(arg, value, flags.workers)
+                                  : !ParseCountFlag(arg, value, flags.kernelish)) {
+      return false;
+    }
+  }
+  if (flags.no_cache) {
+    refscan::ClearScanLocations(flags.options);
   }
   return true;
 }
@@ -360,33 +255,17 @@ std::vector<refscan::FileFailure> MergeFailures(
   return all;
 }
 
-// The engine options the scan-shaped flags select (`scan`, `stats`,
-// `deviations`, `summaries`).
-refscan::ScanOptions ScanOptionsFromFlags(const CliFlags& flags) {
-  refscan::ScanOptions options;
-  options.discover_from_source = flags.discovery;
-  options.jobs = flags.jobs;
-  options.interprocedural = flags.interprocedural;
-  options.enabled_patterns = flags.patterns;
-  options.dialects = flags.dialects;
-  options.file_timeout_ms = flags.file_timeout_ms;
-  options.max_failure_ratio = flags.max_failure_ratio;
-  options.streaming = flags.streaming;
-  if (!flags.no_cache) {
-    options.cache_dir = flags.cache_dir;
-    options.cache_server = flags.cache_server;
-  }
-  return options;
-}
-
 int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
             const std::vector<refscan::LoadFailure>& load_failures = {},
             const refscan::LoadStats& load_stats = {}) {
   using namespace refscan;
-  const ScanOptions options = ScanOptionsFromFlags(flags);
+  // --faults is armed process-wide before the tree load; only the worker
+  // processes of a sharded scan need it in their options.
+  ScanOptions options = flags.options;
+  options.fault_spec.clear();
 
   size_t workers = flags.workers;
-  if (workers > 0 && flags.interprocedural) {
+  if (workers > 0 && options.interprocedural) {
     // The engine runs stage 2.5 scans in-process whatever the executor.
     std::fprintf(stderr, "refscan: --workers is incompatible with --interprocedural; "
                          "running in-process\n");
@@ -420,9 +299,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
     ShardedScanConfig config;
     config.workers = workers;
     config.worker_cmd = "/proc/self/exe";
-    ScanOptions sharded_options = options;
-    sharded_options.fault_spec = flags.fault_spec;
-    result = ShardedScan(tree, sharded_options, config);
+    result = ShardedScan(tree, flags.options, config);
   } else {
     CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
     result = engine.Scan(tree);
@@ -583,7 +460,7 @@ int RealMain(int argc, char** argv) {
     }
     std::printf("generating the synthetic kernel corpus and scanning it...\n\n");
     CorpusOptions corpus_options;
-    corpus_options.kernelish_modules = static_cast<int>(flags.kernelish);
+    corpus_options.kernelish_modules = flags.kernelish;
     const Corpus corpus = GenerateKernelCorpus(corpus_options);
     if (!flags.emit_dir.empty() && !EmitTree(corpus.tree, flags.emit_dir)) {
       return kExitHardFailure;
@@ -609,7 +486,10 @@ int RealMain(int argc, char** argv) {
       if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
         socket = argv[++i];
       } else if (std::strcmp(argv[i], "--id") == 0 && i + 1 < argc) {
-        id = std::atoi(argv[++i]);
+        if (!ParseCountFlag(argv[i], argv[i + 1], id)) {
+          return Usage();
+        }
+        ++i;
       } else {
         return Usage();
       }
@@ -671,55 +551,21 @@ int RealMain(int argc, char** argv) {
     config.socket_path = argv[2];
     std::string watch_dir;
     uint32_t poll_ms = 500;
-    size_t jobs = 0;
     for (int i = 3; i < argc; ++i) {
-      const auto number = [&](unsigned long& out) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s needs a number\n", argv[i]);
-          return false;
-        }
-        char* end = nullptr;
-        out = std::strtoul(argv[++i], &end, 10);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad number: %s\n", argv[i]);
-          return false;
-        }
-        return true;
-      };
-      unsigned long value = 0;
-      if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
-        watch_dir = argv[++i];
-      } else if (std::strcmp(argv[i], "--sessions") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.sessions = static_cast<size_t>(value);
-      } else if (std::strcmp(argv[i], "--max-pending") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.max_pending = static_cast<size_t>(value);
-      } else if (std::strcmp(argv[i], "--request-timeout-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.request_timeout_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--drain-timeout-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.drain_timeout_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        poll_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--jobs") == 0 || std::strcmp(argv[i], "-j") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        jobs = static_cast<size_t>(value);
-      } else {
+      const std::string_view arg = argv[i];
+      if (i + 1 >= argc) {
+        return Usage();
+      }
+      const char* value = argv[++i];
+      const auto count = [&](auto& out) { return ParseCountFlag(arg, value, out); };
+      if (arg == "--watch") {
+        watch_dir = value;
+      } else if (!(arg == "--sessions"             ? count(config.sessions)
+                   : arg == "--max-pending"        ? count(config.max_pending)
+                   : arg == "--request-timeout-ms" ? count(config.request_timeout_ms)
+                   : arg == "--drain-timeout-ms"   ? count(config.drain_timeout_ms)
+                   : arg == "--poll-ms"            ? count(poll_ms)
+                   : (arg == "--jobs" || arg == "-j") && count(config.jobs))) {
         return Usage();
       }
     }
@@ -746,7 +592,7 @@ int RealMain(int argc, char** argv) {
       watch.tree_dir = watch_dir;
       watch.poll_ms = poll_ms;
       ScanOptions watch_options;
-      watch_options.jobs = jobs;
+      watch_options.jobs = config.jobs;
       watch_thread = std::thread([watch, watch_options, &server, &watch_stop] {
         RunWatchLoop(watch, watch_options, server.store(), watch_stop, stdout);
       });
@@ -800,12 +646,10 @@ int RealMain(int argc, char** argv) {
     bool have_max = false;
     for (int i = 4; i < argc; ++i) {
       if (std::strcmp(argv[i], "--max-bytes") == 0 && i + 1 < argc) {
-        char* end = nullptr;
-        max_bytes = std::strtoull(argv[++i], &end, 10);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad byte count: %s\n", argv[i]);
+        if (!ParseCountFlag(argv[i], argv[i + 1], max_bytes)) {
           return Usage();
         }
+        ++i;
         have_max = true;
       } else {
         return Usage();
@@ -839,14 +683,14 @@ int RealMain(int argc, char** argv) {
       return kExitUsage;
     }
     LoadOptions load_options;
-    load_options.jobs = flags.jobs;
+    load_options.jobs = flags.options.jobs;
     const SourceTree tree = LoadSourceTreeFromDisk(argv[2], load_options);
     if (tree.size() == 0) {
       std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
       return kExitHardFailure;
     }
     ScanOptions options;
-    options.jobs = flags.jobs;
+    options.jobs = flags.options.jobs;
     const auto reports = RunTemplateChecker(*tmpl, tree, KnowledgeBase::BuiltIn(), options);
     for (const BugReport& r : reports) {
       std::printf("%s:%u: [template] %s in %s() (object '%s')\n", r.file.c_str(), r.line,
@@ -908,7 +752,7 @@ int RealMain(int argc, char** argv) {
     }
     std::vector<std::string> errors;
     LoadOptions load_options;
-    load_options.jobs = flags.jobs;
+    load_options.jobs = flags.options.jobs;
     const SourceTree tree = LoadSourceTreeFromDisk(argv[2], load_options, &errors);
     for (const std::string& error : errors) {
       std::fprintf(stderr, "warning: %s\n", error.c_str());
@@ -919,7 +763,7 @@ int RealMain(int argc, char** argv) {
     }
     // Same front half as an --ipa scan (dialects, discovery, path cap),
     // then dump the summaries.
-    CheckerEngine engine(KnowledgeBase::BuiltIn(), ScanOptionsFromFlags(flags));
+    CheckerEngine engine(KnowledgeBase::BuiltIn(), flags.options);
     std::vector<FileFailure> failures;
     const std::string out =
         engine.Summarize(tree, flags.json ? SummariesToJson : SummariesToText, &failures);
@@ -946,10 +790,10 @@ int RealMain(int argc, char** argv) {
     // during it (ScanOptions::fault_spec would only cover the engine). A
     // malformed spec on the command line is a usage error (the env-var
     // variant stays a hard failure: nothing was typed to correct).
-    if (!flags.fault_spec.empty()) {
+    if (!flags.options.fault_spec.empty()) {
       FaultPlan plan;
       std::string fault_error;
-      if (!ParseFaultSpec(flags.fault_spec, plan, &fault_error)) {
+      if (!ParseFaultSpec(flags.options.fault_spec, plan, &fault_error)) {
         std::fprintf(stderr, "bad --faults spec: %s\n", fault_error.c_str());
         return kExitUsage;
       }
@@ -966,8 +810,7 @@ int RealMain(int argc, char** argv) {
     std::vector<LoadFailure> load_failures;
     LoadStats load_stats;
     LoadOptions load_options;
-    load_options.jobs = flags.jobs;
-    load_options.use_mmap = flags.use_mmap;
+    load_options.jobs = flags.options.jobs;
     const SourceTree tree =
         LoadSourceTreeFromDisk(argv[2], load_options, &load_failures, &load_stats);
     for (const LoadFailure& f : load_failures) {
@@ -978,7 +821,7 @@ int RealMain(int argc, char** argv) {
       return kExitHardFailure;
     }
     if (command == "deviations") {
-      const auto reports = DetectDeviations(tree, KnowledgeBase::BuiltIn(), flags.jobs);
+      const auto reports = DetectDeviations(tree, KnowledgeBase::BuiltIn(), flags.options.jobs);
       for (const DeviationReport& r : reports) {
         std::printf("%s:%u: [%s%s] %s\n", r.file.c_str(), r.line,
                     std::string(DeviationKindName(r.kind)).c_str(), r.hidden ? ", hidden" : "",
