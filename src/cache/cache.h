@@ -40,8 +40,8 @@
 // through an ObjectStore backend (src/cache/store.h): LocalStore writes to
 // a temporary file and renames, so concurrent scans sharing a cache
 // directory only ever observe complete objects, and appends one index.tsv
-// line per stored object for inspection (readers skip malformed lines);
-// RemoteStore speaks the same get/put to a shared `refscan cached` server.
+// line per stored object for inspection (readers skip malformed lines), so
+// scanners on one host share a warm cache through one --cache-dir.
 
 #ifndef REFSCAN_CACHE_CACHE_H_
 #define REFSCAN_CACHE_CACHE_H_
@@ -137,10 +137,10 @@ class ScanCache {
   // on-disk LocalStore path.
   explicit ScanCache(std::string dir);
 
-  // Backs the cache with an explicit store — how `--cache-server` plugs a
-  // RemoteStore under the same artifact semantics (keys, header framing,
-  // corruption accounting all unchanged; only raw blob I/O differs).
-  // A null store constructs a disabled cache.
+  // Backs the cache with an explicit store — how `refscan serve` plugs its
+  // resident MemoryStore under the same artifact semantics (keys, header
+  // framing, corruption accounting all unchanged; only raw blob I/O
+  // differs). A null store constructs a disabled cache.
   explicit ScanCache(std::shared_ptr<ObjectStore> store);
 
   bool enabled() const { return store_ != nullptr; }
@@ -178,8 +178,8 @@ class ScanCache {
   uint64_t corrupt_loads() const { return corrupt_loads_.load(std::memory_order_relaxed); }
 
   // index.tsv bookkeeping: kind, object file name, source path, stored
-  // bytes. Malformed lines are skipped, not fatal. Stores without an index
-  // (RemoteStore) report empty.
+  // bytes. Malformed lines are skipped, not fatal. A disabled cache reports
+  // empty.
   using IndexEntry = CacheIndexEntry;
   std::vector<IndexEntry> ReadIndex() const;
 

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <limits.h>
 #include <sys/file.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,22 +13,12 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "src/cache/serial.h"
 
 namespace refscan {
 
 namespace stdfs = std::filesystem;
 
 namespace {
-
-// Cache-server frame types (one request frame in, one reply frame out, in
-// lockstep — the put ack keeps the stream framed and gives natural
-// backpressure).
-constexpr uint8_t kCacheGet = 1;    // payload: Str name
-constexpr uint8_t kCacheHit = 2;    // payload: the blob
-constexpr uint8_t kCacheMiss = 3;   // empty
-constexpr uint8_t kCachePut = 4;    // payload: Str name, Str kind, Str source, Str blob
-constexpr uint8_t kCachePutOk = 5;  // empty
 
 // Writes all of `data`, looping over partial writes and EINTR.
 bool WriteFull(int fd, std::string_view data) {
@@ -232,182 +221,6 @@ size_t MemoryStore::objects() const {
 uint64_t MemoryStore::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
-}
-
-// ---------------------------------------------------------------------------
-// RemoteStore
-
-RemoteStore::RemoteStore(std::string socket_path, BackoffPolicy backoff)
-    : socket_path_(std::move(socket_path)), backoff_(backoff) {}
-
-bool RemoteStore::EnsureConnected() {
-  if (broken_) {
-    return false;
-  }
-  if (fd_.valid()) {
-    return true;
-  }
-  fd_ = ConnectWithRetry(socket_path_, backoff_);
-  if (!fd_.valid()) {
-    broken_ = true;  // no server within the budget: every later call is a cheap miss
-    return false;
-  }
-  return true;
-}
-
-bool RemoteStore::Get(const std::string& name, std::string& blob) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ByteWriter w;
-  w.Str(name);
-  // One replay after a transport failure: get is an idempotent read, so a
-  // server bounce between requests (EPIPE on send, EOF on recv) costs one
-  // reconnect, not the rest of the scan's cache.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!EnsureConnected()) {
-      return false;
-    }
-    uint8_t type = 0;
-    if (SendFrame(fd_.get(), kCacheGet, w.bytes()) &&
-        RecvFrame(fd_.get(), type, blob) == RecvOutcome::kFrame) {
-      return type == kCacheHit;
-    }
-    fd_.Reset();
-  }
-  broken_ = true;  // two fresh connections both died mid-conversation
-  return false;
-}
-
-void RemoteStore::Put(const std::string& name, std::string_view blob, std::string_view kind_name,
-                      std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ByteWriter w;
-  w.Str(name);
-  w.Str(kind_name);
-  w.Str(source);
-  w.Str(blob);
-  // Same one-replay policy as Get: a put is idempotent (content-addressed
-  // name → same bytes), so replaying a maybe-applied put is safe.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!EnsureConnected()) {
-      return;
-    }
-    uint8_t type = 0;
-    std::string ack;
-    if (SendFrame(fd_.get(), kCachePut, w.bytes()) &&
-        RecvFrame(fd_.get(), type, ack) == RecvOutcome::kFrame && type == kCachePutOk) {
-      return;
-    }
-    fd_.Reset();
-  }
-  broken_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// CacheServer
-
-CacheServer::CacheServer(std::string dir, std::string socket_path)
-    : store_(std::move(dir)), socket_path_(std::move(socket_path)) {}
-
-CacheServer::~CacheServer() { Stop(); }
-
-bool CacheServer::Start(std::string* error) {
-  if (!store_.ok()) {
-    if (error != nullptr) {
-      *error = "cannot create cache directory " + store_.dir();
-    }
-    return false;
-  }
-  listen_fd_ = UnixListen(socket_path_, error);
-  if (!listen_fd_.valid()) {
-    return false;
-  }
-  stopping_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return true;
-}
-
-void CacheServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    // The poll timeout bounds how long Stop() waits for the loop to notice
-    // stopping_; it does not limit how long clients may stay connected.
-    OwnedFd conn = UnixAccept(listen_fd_.get(), /*timeout_ms=*/200);
-    if (!conn.valid()) {
-      continue;
-    }
-    conns_.Add(conn.get());
-    conns_.Launch([this, c = std::move(conn)]() mutable { ServeConn(std::move(c)); });
-  }
-}
-
-void CacheServer::ServeConn(OwnedFd conn) {
-  uint8_t type = 0;
-  std::string payload;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (RecvFrame(conn.get(), type, payload) != RecvOutcome::kFrame) {
-      break;
-    }
-    if (type == kCacheGet) {
-      ByteReader r(payload);
-      const std::string name = r.Str();
-      gets_.fetch_add(1, std::memory_order_relaxed);
-      std::string blob;
-      if (r.ok() && r.AtEnd() && store_.Get(name, blob)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (!SendFrame(conn.get(), kCacheHit, blob)) {
-          break;
-        }
-      } else if (!SendFrame(conn.get(), kCacheMiss, {})) {
-        break;
-      }
-    } else if (type == kCachePut) {
-      ByteReader r(payload);
-      std::string name = r.Str();
-      std::string kind = r.Str();
-      std::string source = r.Str();
-      std::string blob = r.Str();
-      if (r.ok() && r.AtEnd()) {
-        puts_.fetch_add(1, std::memory_order_relaxed);
-        store_.Put(name, blob, kind, source);
-      }
-      if (!SendFrame(conn.get(), kCachePutOk, {})) {
-        break;
-      }
-    } else {
-      break;  // unknown frame type: not our protocol, drop the connection
-    }
-  }
-  // Deregister before the fd closes (at end of this function) so Stop()
-  // never calls shutdown() on a recycled descriptor.
-  conns_.Remove(conn.get());
-}
-
-void CacheServer::Stop() {
-  if (!accept_thread_.joinable()) {
-    return;
-  }
-  stopping_.store(true, std::memory_order_relaxed);
-  accept_thread_.join();
-  conns_.ShutdownAll(SHUT_RDWR);  // unblocks any conn thread parked in recv
-  conns_.JoinAll();
-  listen_fd_.Reset();
-  ::unlink(socket_path_.c_str());
-}
-
-bool CacheServer::Drain(uint32_t timeout_ms) {
-  if (!accept_thread_.joinable()) {
-    return true;
-  }
-  // Reject new work first: stop the accept loop and remove the socket file,
-  // so a connect() after SIGTERM fails fast instead of queueing behind a
-  // listener nobody will ever accept from.
-  stopping_.store(true, std::memory_order_relaxed);
-  accept_thread_.join();
-  listen_fd_.Reset();
-  ::unlink(socket_path_.c_str());
-  // A connection thread mid-request is past its stopping_ check: it finishes
-  // the exchange and flushes the reply before SHUT_RD's EOF reaches its next
-  // recv. Parked readers wake immediately with a clean EOF.
-  return DrainConnections(conns_, timeout_ms);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,42 +6,32 @@
 // named blobs, and that is the seam this header abstracts: an ObjectStore
 // is a name → blob map with durable puts. Two implementations:
 //
-//   LocalStore   the original on-disk layout: <dir>/objects/<xx>/<rest>,
-//                tmp+rename atomic writes, an append-only index.tsv. Index
-//                appends are one O_APPEND write(2) per entry (lines ≤
-//                PIPE_BUF are appended atomically even across processes;
-//                longer lines take an flock), so N worker processes can
-//                share one cache directory without tearing the index.
+//   LocalStore   the on-disk layout: <dir>/objects/<xx>/<rest>, tmp+rename
+//                atomic writes, an append-only index.tsv. Index appends are
+//                one O_APPEND write(2) per entry (lines ≤ PIPE_BUF are
+//                appended atomically even across processes; longer lines
+//                take an flock), so N scanner or worker processes on one
+//                host share a warm store by pointing --cache-dir at one
+//                directory: the first scanner of a commit pays, everyone
+//                else splices.
 //
-//   RemoteStore  a client for `refscan cached`, the shared cache server:
-//                content-addressed get/put over the same length-prefixed
-//                Unix-socket framing as the shard workers (support/ipc.h).
-//                A fleet of scanners points --cache-server at one warm
-//                store; the first scanner of a commit pays, everyone else
-//                splices. Any transport failure degrades to a miss /
-//                dropped put — the server dying mid-scan can cost time,
-//                never output.
+//   MemoryStore  the resident daemon's store (`refscan serve`), hot across
+//                requests without touching disk.
 //
-// CacheServer is the matching server: a LocalStore behind an accept loop,
-// one thread per connection. RunCacheGc size-caps a local store by evicting
-// least-recently-used objects (LocalStore::Get touches mtime on every hit,
-// so mtime order is LRU order, not write order).
+// RunCacheGc size-caps a local store by evicting least-recently-used
+// objects (LocalStore::Get touches mtime on every hit, so mtime order is
+// LRU order, not write order).
 
 #ifndef REFSCAN_CACHE_STORE_H_
 #define REFSCAN_CACHE_STORE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
-
-#include "src/support/ipc.h"
-#include "src/support/server.h"
 
 namespace refscan {
 
@@ -118,87 +108,6 @@ class MemoryStore : public ObjectStore {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   uint64_t bytes_ = 0;
-};
-
-// Client for a CacheServer. One connection, serialized by a mutex (cache
-// traffic is small next to parsing; a connection pool is not worth the
-// states). Connects lazily on first use with the bounded jittered backoff
-// of `backoff` (one immediate try plus retries — a server still binding its
-// socket, or restarting, is a transient, not an outage). A transport
-// failure mid-conversation reconnects and replays the request once (get/put
-// are idempotent content-addressed ops); only when the whole budget is
-// exhausted does the store mark itself broken and degrade every later call
-// to a cheap miss, so a fleet scan outlives its cache server.
-class RemoteStore : public ObjectStore {
- public:
-  explicit RemoteStore(std::string socket_path, BackoffPolicy backoff = {});
-
-  bool Get(const std::string& name, std::string& blob) override;
-  void Put(const std::string& name, std::string_view blob, std::string_view kind_name,
-           std::string_view source) override;
-  std::vector<CacheIndexEntry> Index() const override { return {}; }
-
- private:
-  bool EnsureConnected();  // caller holds mu_
-
-  std::string socket_path_;
-  BackoffPolicy backoff_;
-  std::mutex mu_;
-  OwnedFd fd_;
-  bool broken_ = false;
-};
-
-// Cache server: serves get/put for one LocalStore over a Unix socket.
-// Thread-per-connection; the LocalStore's atomic object writes and index
-// appends make concurrent connections safe. Run via Start()/Stop() (tests,
-// benches) or let `refscan cached` block on ServeForever().
-class CacheServer {
- public:
-  CacheServer(std::string dir, std::string socket_path);
-  ~CacheServer();
-
-  CacheServer(const CacheServer&) = delete;
-  CacheServer& operator=(const CacheServer&) = delete;
-
-  // Binds the socket and starts the accept thread. False + `error` if the
-  // directory or socket is unusable.
-  bool Start(std::string* error = nullptr);
-
-  // Stops accepting, shuts down live connections, joins every thread.
-  // Idempotent; the destructor calls it.
-  void Stop();
-
-  // Graceful SIGTERM path (shared drain semantics, support/server.h): stop
-  // accepting, close and unlink the listener, then let every request
-  // already received finish and flush its reply — SHUT_RD wakes idle
-  // readers without cutting in-flight writes, so no client is left on a
-  // half-written frame. Escalates to a hard shutdown only past
-  // `timeout_ms`. Idempotent with Stop(); returns true when the drain
-  // finished inside the budget.
-  bool Drain(uint32_t timeout_ms = 5000);
-
-  const std::string& socket_path() const { return socket_path_; }
-
-  // Served-request counters (for the CLI's status line and tests).
-  uint64_t gets() const { return gets_.load(std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t puts() const { return puts_.load(std::memory_order_relaxed); }
-
- private:
-  void AcceptLoop();
-  void ServeConn(OwnedFd conn);
-
-  LocalStore store_;
-  std::string socket_path_;
-  OwnedFd listen_fd_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-
-  ConnectionRegistry conns_;
-
-  std::atomic<uint64_t> gets_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> puts_{0};
 };
 
 // Size-capped LRU eviction for a local cache directory (`refscan cache gc`).

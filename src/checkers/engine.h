@@ -69,20 +69,15 @@ struct ScanOptions {
   // lookup the file can make (its KB-slice fingerprint) — splice
   // their cached report shards (skipping CFG/CPG construction and checking
   // entirely). Reports are byte-identical to a cold scan at every `jobs`
-  // value; the cache can only cost time, never change output.
+  // value; the cache can only cost time, never change output. The store is
+  // multi-process safe (src/cache/store.h), so N scanning processes on one
+  // host share one warm cache by pointing at the same directory.
   std::string cache_dir;
 
-  // Unix-socket path of a `refscan cached` shared artifact server
-  // (src/cache/store.h). When set it takes precedence over cache_dir: cache
-  // gets/puts go over the socket, so N scanning processes (or machines
-  // sharing the socket via a forwarder) split one warm store. An
-  // unreachable server degrades every call to a miss.
-  std::string cache_server;
-
-  // In-process artifact store injection: when set it wins over cache_server
-  // and cache_dir. The resident scan service (`refscan serve`) points every
-  // request at one shared MemoryStore so KB snapshots, facts and report
-  // shards stay hot across requests.
+  // In-process artifact store injection: when set it wins over cache_dir.
+  // The resident scan service (`refscan serve`) points every request at one
+  // shared MemoryStore so KB snapshots, facts and report shards stay hot
+  // across requests.
   std::shared_ptr<ObjectStore> object_store;
 
   // Precision knobs (the design-choice ablation toggles these):
@@ -169,8 +164,8 @@ const std::vector<ScanOptionField>& ScanOptionFields();
 // The row whose CLI flag or alias is `flag`; nullptr when none is.
 const ScanOptionField* FindScanOptionFlag(std::string_view flag);
 
-// Resets every location row (cache_dir, cache_server, object_store): the
-// CLI's --no-cache, and serve / watch before they attach their own store.
+// Resets every location row (cache_dir, object_store): the CLI's
+// --no-cache, and serve / watch before they attach their own store.
 void ClearScanLocations(ScanOptions& options);
 
 // Where in the pipeline a quarantined file failed.

@@ -12,6 +12,7 @@
 #include "src/checkers/engine.h"
 #include "src/checkers/scan_stages.h"
 #include "src/support/strings.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -56,25 +57,38 @@ void Get(ByteReader&, std::shared_ptr<ObjectStore>& v) { v.reset(); }
 
 // ---- CLI value parsers (ScanOptionField::parse) ----
 
-// An unsigned count that fits its member: no sign, no junk, no overflow.
-bool ParseCountOption(const ScanOptionField& field, std::string_view text, ScanOptions& options,
-                      std::string& error) {
+// An unsigned count no greater than `ceiling` that fits its member: no
+// sign, no junk, no overflow.
+bool ParseBoundedCount(const ScanOptionField& field, std::string_view text, uint64_t ceiling,
+                       ScanOptions& options, std::string& error) {
   return std::visit(
       [&]<typename T>(T ScanOptions::*member) {
         if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+          const uint64_t max = std::min<uint64_t>(ceiling, std::numeric_limits<T>::max());
           uint64_t value = 0;
-          if (ParseUnsigned(text, std::numeric_limits<T>::max(), value)) {
+          if (ParseUnsigned(text, max, value)) {
             options.*member = static_cast<T>(value);
             return true;
           }
           error = StrFormat("expected an unsigned integer no greater than %llu",
-                            static_cast<unsigned long long>(std::numeric_limits<T>::max()));
+                            static_cast<unsigned long long>(max));
         } else {
           error = "not a count option";
         }
         return false;
       },
       field.member);
+}
+
+bool ParseCountOption(const ScanOptionField& field, std::string_view text, ScanOptions& options,
+                      std::string& error) {
+  return ParseBoundedCount(field, text, std::numeric_limits<uint64_t>::max(), options, error);
+}
+
+// A thread count, at most kMaxParallelism.
+bool ParseParallelismOption(const ScanOptionField& field, std::string_view text,
+                            ScanOptions& options, std::string& error) {
+  return ParseBoundedCount(field, text, kMaxParallelism, options, error);
 }
 
 // A fraction in [0, 1].
@@ -162,7 +176,7 @@ const std::vector<ScanOptionField>& ScanOptionFields() {
        .help = "fold bottom-up call-graph summaries into the KB\nbefore checking"},
       // Not fingerprinted: reports are identical at every thread count.
       {.name = "jobs", .member = &ScanOptions::jobs, .flag = "--jobs", .alias = "-j",
-       .value_name = "N", .parse = ParseCountOption,
+       .value_name = "N", .parse = ParseParallelismOption,
        .help = "scan threads (0 = all hardware threads, the default);\n"
                "output is identical at every thread count"},
       // Locations say where artifacts live, never what they hold: none is
@@ -171,11 +185,6 @@ const std::vector<ScanOptionField>& ScanOptionFields() {
        .value_name = "DIR", .parse = ParseTextOption,
        .help = "incremental scan cache: rescans replay the cached parses\n"
                "and reports of unchanged files (output is unchanged)",
-       .location = true},
-      {.name = "cache_server", .member = &ScanOptions::cache_server, .flag = "--cache-server",
-       .value_name = "PATH", .parse = ParseTextOption,
-       .help = "socket of a `refscan cached` store shared across\n"
-               "processes (takes precedence over --cache-dir)",
        .location = true},
       {.name = "object_store", .member = &ScanOptions::object_store, .location = true},
       // Not fingerprinted, like jobs: it changes the unit lifecycle, never

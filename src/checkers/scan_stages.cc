@@ -135,9 +135,6 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   if (options.object_store != nullptr) {
     return options.object_store;  // resident injection wins over any location
   }
-  if (!options.cache_server.empty()) {
-    return std::make_shared<RemoteStore>(options.cache_server);
-  }
   if (options.cache_dir.empty()) {
     return nullptr;
   }

@@ -42,7 +42,10 @@ struct DeadlineState {
   uint32_t tick = 0;
 };
 
-extern thread_local DeadlineState g_deadline;
+// constinit: a constant-initialized thread_local needs no dynamic-init
+// wrapper, so every access is a plain TLS load (and UBSan sees no null
+// wrapper result).
+extern constinit thread_local DeadlineState g_deadline;
 
 [[noreturn]] void ThrowDeadlineExceeded(const char* where);
 

@@ -68,14 +68,4 @@ size_t ConnectionRegistry::tracked_threads() const {
   return threads_.size();
 }
 
-bool DrainConnections(ConnectionRegistry& registry, uint32_t timeout_ms) {
-  registry.ShutdownAll(SHUT_RD);
-  const bool clean = registry.WaitIdle(timeout_ms);
-  if (!clean) {
-    registry.ShutdownAll(SHUT_RDWR);
-  }
-  registry.JoinAll();
-  return clean;
-}
-
 }  // namespace refscan

@@ -1,9 +1,7 @@
-// Shared scaffolding for the Unix-socket daemons (DESIGN.md §5.14).
+// Connection bookkeeping for the Unix-socket daemon (DESIGN.md §5.14).
 //
-// Both resident servers — the shared cache (`refscan cached`,
-// src/cache/store) and the resident scan service (`refscan serve`,
-// src/serve) — are an accept loop fanning connections out to threads, and
-// both need the same two lifecycle moves:
+// The resident scan service (`refscan serve`, src/serve) is an accept loop
+// fanning connections out to threads, and it needs two lifecycle moves:
 //
 //   Stop   tear everything down now (tests, destructors): SHUT_RDWR every
 //          live connection, join.
@@ -95,14 +93,6 @@ class ConnectionRegistry {
   std::vector<std::thread::id> finished_;  // bodies returned, not yet joined
   size_t active_ = 0;
 };
-
-// The canonical graceful-drain sequence over a registry, shared by both
-// daemons (the caller has already stopped its accept loop and closed the
-// listener): SHUT_RD everything, wait up to `timeout_ms` for connection
-// bodies to finish their in-flight work, escalate to SHUT_RDWR past the
-// deadline, then join. Returns true when the drain finished inside the
-// budget (no escalation needed).
-bool DrainConnections(ConnectionRegistry& registry, uint32_t timeout_ms);
 
 }  // namespace refscan
 

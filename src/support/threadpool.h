@@ -59,6 +59,12 @@ class ParallelForError : public std::runtime_error {
   std::vector<std::pair<size_t, std::string>> failures_;
 };
 
+// The largest thread or process count a user may ask for (--jobs,
+// --workers, serve's --jobs/--sessions/--max-pending). The CLI rejects
+// anything above it as a usage error, so no flag can ask the pool for 2^64
+// threads or wrap serve's admission arithmetic.
+inline constexpr size_t kMaxParallelism = 1024;
+
 class ThreadPool {
  public:
   // `parallelism` = total number of threads doing work, counting the caller

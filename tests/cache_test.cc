@@ -770,128 +770,5 @@ TEST_F(CacheTest, CacheGcEvictsLruObjectsDownToTheByteBudget) {
   EXPECT_EQ(after.Index().size(), 4u);
 }
 
-TEST_F(CacheTest, CacheServerServesGetsAndPutsAcrossClients) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  RemoteStore writer(socket);
-  writer.Put("feed0001.facts", "shared-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(writer.Get("feed0001.facts", blob));
-  EXPECT_EQ(blob, "shared-blob");
-
-  // A second client (a different "process" in fleet terms) sees the same
-  // object: the store is shared server-side, not per-connection.
-  RemoteStore reader(socket);
-  blob.clear();
-  ASSERT_TRUE(reader.Get("feed0001.facts", blob));
-  EXPECT_EQ(blob, "shared-blob");
-  EXPECT_FALSE(reader.Get("feed0002.facts", blob));  // miss, not error
-
-  EXPECT_EQ(server.puts(), 1u);
-  EXPECT_EQ(server.gets(), 3u);
-  EXPECT_EQ(server.hits(), 2u);
-  server.Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, CorruptServerObjectDegradesToMissNotWrongFacts) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  ASSERT_TRUE(server.Start());
-
-  ScanCache cache(std::make_shared<RemoteStore>(socket));
-  ASSERT_TRUE(cache.enabled());
-  const CacheKey key = MakeFileKey("a.c", "int x;\n", 1);
-  DiscoveryFacts facts;
-  cache.StoreFacts(key, facts, "a.c");
-  ASSERT_TRUE(cache.LoadFacts(key).has_value());
-
-  // Flip bytes in the stored object on disk, behind the server's back.
-  bool corrupted = false;
-  for (const auto& entry : stdfs::recursive_directory_iterator(cache_dir_)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".facts") {
-      std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-      out << "garbage bytes, definitely not a cache artifact";
-      corrupted = true;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-
-  ScanCache fresh(std::make_shared<RemoteStore>(socket));
-  EXPECT_FALSE(fresh.LoadFacts(key).has_value());
-  EXPECT_EQ(fresh.corrupt_loads(), 1u);
-  server.Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, RemoteStoreReconnectsAcrossAServerRestart) {
-  const std::string socket = cache_dir_ + ".sock";
-  auto server = std::make_unique<CacheServer>(cache_dir_, socket);
-  ASSERT_TRUE(server->Start());
-
-  // A patient client: enough backoff budget to outlive the bounce below.
-  BackoffPolicy backoff;
-  backoff.attempts = 10;
-  backoff.base_delay_ms = 1;
-  backoff.max_delay_ms = 5;
-  RemoteStore client(socket, backoff);
-  client.Put("feed0003.facts", "durable-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(client.Get("feed0003.facts", blob));
-
-  // Bounce the server. The client's connection is now a dead fd; the next
-  // call must reconnect (one replay — get is idempotent) and hit the object
-  // the first server persisted to disk.
-  server.reset();
-  ::unlink(socket.c_str());
-  server = std::make_unique<CacheServer>(cache_dir_, socket);
-  ASSERT_TRUE(server->Start());
-
-  blob.clear();
-  EXPECT_TRUE(client.Get("feed0003.facts", blob));
-  EXPECT_EQ(blob, "durable-blob");
-  server->Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, CacheServerDrainWakesParkedReadersAndRefusesNew) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  ASSERT_TRUE(server.Start());
-
-  // One client with a completed put, then parked idle (its connection body
-  // is blocked in a frame read server-side); one hostile client parked
-  // mid-frame. Drain must wake both without hanging and finish in budget.
-  RemoteStore parked(socket);
-  parked.Put("feed0004.facts", "drained-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(parked.Get("feed0004.facts", blob));
-  OwnedFd midframe = UnixConnect(socket);
-  ASSERT_TRUE(midframe.valid());
-  const char partial[] = {50, 0, 0, 0, 1};  // promises 50 bytes, sends none
-  ASSERT_EQ(::write(midframe.get(), partial, sizeof(partial)),
-            static_cast<ssize_t>(sizeof(partial)));
-
-  EXPECT_TRUE(server.Drain(5000));
-  // The listener is gone and the object survived the drain.
-  EXPECT_FALSE(UnixConnect(socket).valid());
-  LocalStore store(cache_dir_);
-  blob.clear();
-  EXPECT_TRUE(store.Get("feed0004.facts", blob));
-  EXPECT_EQ(blob, "drained-blob");
-}
-
-TEST_F(CacheTest, UnreachableCacheServerDegradesEveryCallToAMiss) {
-  ScanCache cache(std::make_shared<RemoteStore>("/tmp/refscan-no-such-server.sock"));
-  ASSERT_TRUE(cache.enabled());
-  const CacheKey key = MakeFileKey("a.c", "int x;\n", 1);
-  DiscoveryFacts facts;
-  cache.StoreFacts(key, facts, "a.c");          // swallowed, no throw
-  EXPECT_FALSE(cache.LoadFacts(key).has_value());  // miss, no throw
-}
-
 }  // namespace
 }  // namespace refscan

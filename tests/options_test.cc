@@ -18,6 +18,7 @@
 #include "src/checkers/scan_stages.h"
 #include "src/serve/protocol.h"
 #include "src/support/strings.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 namespace {
@@ -212,7 +213,6 @@ TEST(ScanOptionFieldsTest, ClearScanLocationsResetsOnlyLocations) {
     EXPECT_TRUE(SameMember(f, cleared, f.location ? ScanOptions{} : set)) << f.name;
   }
   EXPECT_TRUE(cleared.cache_dir.empty());
-  EXPECT_TRUE(cleared.cache_server.empty());
   EXPECT_EQ(cleared.object_store, nullptr);
 }
 
@@ -242,7 +242,11 @@ TEST(ScanOptionFieldsTest, CountParsersRejectSignsJunkAndOverflow) {
     EXPECT_FALSE(Parse("--jobs", bad, o)) << bad;
   }
   EXPECT_EQ(o.jobs, 8u);  // rejected text leaves the member alone
-  EXPECT_TRUE(Parse("--jobs", "18446744073709551615", o));
+  // A thread count stops at kMaxParallelism (parsing only: no thread starts).
+  EXPECT_TRUE(Parse("--jobs", std::to_string(kMaxParallelism), o));
+  EXPECT_EQ(o.jobs, kMaxParallelism);
+  EXPECT_FALSE(Parse("--jobs", std::to_string(kMaxParallelism + 1), o));
+  EXPECT_FALSE(Parse("--jobs", "18446744073709551615", o));
   EXPECT_TRUE(Parse("--file-timeout-ms", "4294967295", o));
   EXPECT_EQ(o.file_timeout_ms, 4294967295u);
   EXPECT_FALSE(Parse("--file-timeout-ms", "4294967296", o));  // overflows uint32_t

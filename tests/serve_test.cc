@@ -108,7 +108,6 @@ TEST(ServeSanitizeTest, CapsJobsAndStripsWhatATenantMustNotControl) {
     ScanOptions options;
     options.jobs = jobs;
     options.cache_dir = "/elsewhere";
-    options.cache_server = "/elsewhere.sock";
     options.fault_spec = "parser.parse:file=*";
     SanitizeRequestOptions(options, config, store);
     return options;
@@ -120,7 +119,6 @@ TEST(ServeSanitizeTest, CapsJobsAndStripsWhatATenantMustNotControl) {
   EXPECT_EQ(sanitized(static_cast<size_t>(-1)).jobs, 3u);
   const ScanOptions options = sanitized(1);
   EXPECT_TRUE(options.cache_dir.empty());
-  EXPECT_TRUE(options.cache_server.empty());
   EXPECT_TRUE(options.fault_spec.empty());
   EXPECT_EQ(options.object_store, store);
   EXPECT_EQ(options.file_timeout_ms, 500u);
@@ -387,6 +385,22 @@ TEST(ServeTest, DrainFinishesInFlightAndRefusesNew) {
   ScanServer server(config);
   ASSERT_TRUE(server.Start());
 
+  // Besides the in-flight request: one session parked idle after a
+  // completed exchange (its connection body is blocked in a frame read),
+  // and one hostile peer parked mid-frame. Drain must wake both inside the
+  // budget rather than wait the budget out.
+  OwnedFd idle = UnixConnect(config.socket_path);
+  ASSERT_TRUE(idle.valid());
+  uint8_t type = 0;
+  std::string payload;
+  ASSERT_TRUE(SendFrame(idle.get(), kServeHealthReq, ""));
+  ASSERT_EQ(RecvFrame(idle.get(), type, payload), RecvOutcome::kFrame);
+  OwnedFd midframe = UnixConnect(config.socket_path);
+  ASSERT_TRUE(midframe.valid());
+  const char partial[] = {50, 0, 0, 0, kServeScanReq};  // promises 50 bytes, sends none
+  ASSERT_EQ(::write(midframe.get(), partial, sizeof(partial)),
+            static_cast<ssize_t>(sizeof(partial)));
+
   // Slow the request enough that Drain provably overlaps it.
   ScopedFaultArm arm("serve.request:once:delay=300");
   OwnedFd conn = UnixConnect(config.socket_path);
@@ -399,8 +413,6 @@ TEST(ServeTest, DrainFinishesInFlightAndRefusesNew) {
     EXPECT_TRUE(server.Drain());
     drained.store(true);
   });
-  uint8_t type = 0;
-  std::string payload;
   ASSERT_EQ(RecvFrame(conn.get(), type, payload), RecvOutcome::kFrame)
       << "in-flight request must complete and flush during drain";
   EXPECT_EQ(type, kServeScanResp);
@@ -409,6 +421,8 @@ TEST(ServeTest, DrainFinishesInFlightAndRefusesNew) {
   ExpectSameOutput(LocalScan(tree, ScanOptions{}), result);
   drainer.join();
   EXPECT_TRUE(drained.load());
+  // The parked session was closed, not answered.
+  EXPECT_NE(RecvFrame(idle.get(), type, payload), RecvOutcome::kFrame);
   // The listener is gone: new connections fail outright.
   OwnedFd refused = UnixConnect(config.socket_path);
   EXPECT_FALSE(refused.valid());

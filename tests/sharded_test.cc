@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/cache/store.h"
 #include "src/checkers/engine.h"
 #include "src/checkers/report.h"
 #include "src/corpus/generator.h"
@@ -168,46 +167,19 @@ TEST(ShardedScanTest, ByteIdenticalWarmAndColdWithSharedLocalCache) {
   options.cache_dir = cache_dir2;
   const ScanResult sharded_cold = ShardedScan(tree, options, Config(4));
   ExpectSameResult(cold, sharded_cold);
+  // The warm fleet: every worker process hits the store the cold fleet
+  // left in the one shared directory, so at least 90% of the parse work is
+  // skipped (here: all of it).
+  const ScanResult fleet_warm = ShardedScan(tree, options, Config(4));
+  EXPECT_EQ(fleet_warm.stats.cache_hits, fleet_warm.stats.files);
+  EXPECT_GE(fleet_warm.stats.cache_parse_skips * 10, fleet_warm.stats.files * 9);
+  ExpectSameResult(warm, fleet_warm);
   CheckerEngine warm_engine2(KnowledgeBase::BuiltIn(), options);
   const ScanResult warm2 = warm_engine2.Scan(tree);
   ExpectSameResult(warm, warm2);
 
   stdfs::remove_all(cache_dir);
   stdfs::remove_all(cache_dir2);
-}
-
-TEST(ShardedScanTest, WorkerFleetSharesOneCacheServer) {
-  const SourceTree tree = TestTree();
-  const std::string store_dir = TempDir("serverstore");
-  const std::string socket = "/tmp/refscan-sharded-test-" +
-                             std::to_string(::getpid()) + "-cached.sock";
-  CacheServer server(store_dir, socket);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  ScanOptions options;
-  options.jobs = 2;
-  options.cache_server = socket;
-
-  ScanOptions plain;
-  plain.jobs = 2;
-  CheckerEngine engine(KnowledgeBase::BuiltIn(), plain);
-  const ScanResult want = engine.Scan(tree);
-
-  const ScanResult cold = ShardedScan(tree, options, Config(4));
-  EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(cold.reports));
-  EXPECT_EQ(cold.stats.cache_misses, cold.stats.files);
-  EXPECT_GT(server.puts(), 0u);
-
-  // The warm fleet: every worker hits the pre-warmed shared store, so at
-  // least 90% of the parse work is skipped (here: all of it).
-  const ScanResult fleet_warm = ShardedScan(tree, options, Config(4));
-  EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(fleet_warm.reports));
-  EXPECT_EQ(fleet_warm.stats.cache_hits, fleet_warm.stats.files);
-  EXPECT_GE(fleet_warm.stats.cache_parse_skips * 10, fleet_warm.stats.files * 9);
-
-  server.Stop();
-  stdfs::remove_all(store_dir);
 }
 
 TEST(ShardedScanTest, KilledWorkerDegradesToSurvivingSubsetScan) {

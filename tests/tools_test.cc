@@ -283,7 +283,9 @@ int RunCli(const std::string& args) {
 
 // Every numeric flag shares one parser: a sign, overflow or trailing junk
 // is a usage error (64), never a wrapped value — `--jobs -1` must not reach
-// the thread pool as 2^64-1.
+// the thread pool as 2^64-1. A thread or process count above
+// kMaxParallelism (1024) is one too; every value here is rejected while
+// parsing, so no case starts a thread, a worker or a daemon.
 TEST(NumericFlagsCliTest, SignsOverflowAndJunkAreUsageErrors) {
   const std::filesystem::path root = std::filesystem::temp_directory_path() /
                                      ("refscan_flags_cli-" + std::to_string(::getpid()));
@@ -296,14 +298,18 @@ TEST(NumericFlagsCliTest, SignsOverflowAndJunkAreUsageErrors) {
   for (const char* bad :
        {" --jobs -1", " -j +2", " --jobs 1x", " --jobs 18446744073709551616",
         " --file-timeout-ms 4294967296", " --file-timeout-ms -5", " --workers -2",
-        " --max-failure-ratio 1.5", " --max-failure-ratio -0.5", " --jobs", " --mmap"}) {
+        " --max-failure-ratio 1.5", " --max-failure-ratio -0.5", " --jobs", " --mmap",
+        " --jobs 18446744073709551615", " -j 1025", " --workers 1025",
+        " --workers 18446744073709551615"}) {
     EXPECT_EQ(RunCli(scan + bad), 64) << bad;
   }
   EXPECT_EQ(RunCli("demo --kernelish -1"), 64);
   EXPECT_EQ(RunCli("cache gc " + root.string() + " --max-bytes -1"), 64);
   // Rejected before the daemon binds its socket, so nothing is left running.
   const std::string serve = "serve " + (root / "serve.sock").string();
-  for (const char* bad : {" --jobs -1", " --sessions 2x", " --poll-ms 4294967296"}) {
+  for (const char* bad : {" --jobs -1", " --sessions 2x", " --poll-ms 4294967296",
+                          " --sessions 18446744073709551615", " --max-pending 1025",
+                          " --jobs 1025"}) {
     EXPECT_EQ(RunCli(serve + bad), 64) << bad;
   }
   std::filesystem::remove_all(root);

@@ -77,7 +77,7 @@ void PrintFlagHelp(const std::string& spelling, std::string_view help) {
 
 // The CLI's own flags; the ScanOptions flags come from ScanOptionFields().
 constexpr std::pair<const char*, const char*> kCliFlagHelp[] = {
-    {"--no-cache", "ignore any --cache-dir / --cache-server (cold scan)"},
+    {"--no-cache", "ignore any --cache-dir (cold scan)"},
     {"--workers N",
      "shard stages 1 and 3 across N worker processes (0 = in-\n"
      "process, the default; --ipa scans run in-process)"},
@@ -103,8 +103,6 @@ int Usage() {
                "  refscan summaries <dir> [--json] [--jobs N] [--dialect NAME]...\n"
                "  refscan stats <dir> [--json] [--jobs N]   scan, print only the stats table\n"
                "  refscan demo [--jobs N] [--emit <dir>] [--kernelish N]\n"
-               "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
-               "                                            content-addressed cache\n"
                "  refscan serve <socket> [--watch TREE] [--sessions N] [--max-pending N]\n"
                "                [--request-timeout-ms N] [--drain-timeout-ms N] [--poll-ms N]\n"
                "                [--jobs N]                  resident scan service: keeps the\n"
@@ -133,14 +131,17 @@ int Usage() {
 }
 
 // Parses a count flag's value (no sign, junk or overflow — the rule every
-// numeric flag shares); says why and returns false on bad text.
+// numeric flag shares), at most `ceiling`; says why and returns false on bad
+// text.
 template <typename T>
-bool ParseCountFlag(std::string_view flag, const char* text, T& out) {
+bool ParseCountFlag(std::string_view flag, const char* text, T& out,
+                    uint64_t ceiling = std::numeric_limits<uint64_t>::max()) {
+  const uint64_t max = std::min<uint64_t>(ceiling, std::numeric_limits<T>::max());
   uint64_t value = 0;
-  if (!refscan::ParseUnsigned(text, std::numeric_limits<T>::max(), value)) {
+  if (!refscan::ParseUnsigned(text, max, value)) {
     std::fprintf(stderr, "bad %.*s value '%s': expected an unsigned integer no greater than %llu\n",
                  static_cast<int>(flag.size()), flag.data(), text,
-                 static_cast<unsigned long long>(std::numeric_limits<T>::max()));
+                 static_cast<unsigned long long>(max));
     return false;
   }
   out = static_cast<T>(value);
@@ -210,8 +211,9 @@ bool ParseFlags(int argc, char** argv, int first, CliFlags& flags) {
       }
     } else if (text != nullptr) {
       *text = value;
-    } else if (arg == "--workers" ? !ParseCountFlag(arg, value, flags.workers)
-                                  : !ParseCountFlag(arg, value, flags.kernelish)) {
+    } else if (arg == "--workers"
+                   ? !ParseCountFlag(arg, value, flags.workers, refscan::kMaxParallelism)
+                   : !ParseCountFlag(arg, value, flags.kernelish)) {
       return false;
     }
   }
@@ -324,7 +326,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
 
   const int exit_code = ScanExitCodeFor(result);
 
-  const bool cache_on = !options.cache_dir.empty() || !options.cache_server.empty();
+  const bool cache_on = !options.cache_dir.empty();
   if (flags.json) {
     if (cache_on) {
       // Keep stdout byte-identical between cold and warm scans: cache
@@ -500,49 +502,6 @@ int RealMain(int argc, char** argv) {
     return RunShardWorker(socket, id);
   }
 
-  if (command == "cached") {
-    if (argc < 3) {
-      return Usage();
-    }
-    const std::string dir = argv[2];
-    std::string socket = dir + "/cached.sock";
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-        socket = argv[++i];
-      } else {
-        return Usage();
-      }
-    }
-    // Foreground until SIGINT/SIGTERM; the accept loop runs on its own
-    // thread. sigwait (not a handler) keeps shutdown on the main thread;
-    // blocking BEFORE Start() means no spawned thread can catch the signal
-    // with its default (fatal) action.
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-    CacheServer server(dir, socket);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "refscan cached: %s\n", error.c_str());
-      return kExitHardFailure;
-    }
-    std::printf("refscan cached: serving %s on %s\n", dir.c_str(), socket.c_str());
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&set, &sig);
-    // Graceful drain (shared semantics with `refscan serve`): requests
-    // already received finish and flush; only a hung connection forces the
-    // hard-shutdown escalation.
-    server.Drain();
-    std::printf("refscan cached: %llu get(s), %llu hit(s), %llu put(s)\n",
-                static_cast<unsigned long long>(server.gets()),
-                static_cast<unsigned long long>(server.hits()),
-                static_cast<unsigned long long>(server.puts()));
-    return 0;
-  }
-
   if (command == "serve") {
     if (argc < 3) {
       return Usage();
@@ -558,14 +517,17 @@ int RealMain(int argc, char** argv) {
       }
       const char* value = argv[++i];
       const auto count = [&](auto& out) { return ParseCountFlag(arg, value, out); };
+      const auto threads = [&](size_t& out) {
+        return ParseCountFlag(arg, value, out, kMaxParallelism);
+      };
       if (arg == "--watch") {
         watch_dir = value;
-      } else if (!(arg == "--sessions"             ? count(config.sessions)
-                   : arg == "--max-pending"        ? count(config.max_pending)
+      } else if (!(arg == "--sessions"             ? threads(config.sessions)
+                   : arg == "--max-pending"        ? threads(config.max_pending)
                    : arg == "--request-timeout-ms" ? count(config.request_timeout_ms)
                    : arg == "--drain-timeout-ms"   ? count(config.drain_timeout_ms)
                    : arg == "--poll-ms"            ? count(poll_ms)
-                   : (arg == "--jobs" || arg == "-j") && count(config.jobs))) {
+                   : (arg == "--jobs" || arg == "-j") && threads(config.jobs))) {
         return Usage();
       }
     }
